@@ -126,9 +126,14 @@
 // distance is a gather over the point's IDs — cells the sparse merge-join
 // would skip read an exact 0.0, and adding w·0 to a non-negative partial
 // sum never changes its bits, which is why the gather is bit-identical to
-// the merge-join it replaced. K-means assignment and the k-means++ D² scan
-// execute concurrently across GOMAXPROCS workers with serial index-order
-// reductions; restarts advance in deterministic lockstep rounds.
+// the merge-join it replaced. K-means restarts, the assignment step and the
+// k-means++ D² scan fan out through internal/par, like every other parallel
+// loop in the program: one process-wide budget of GOMAXPROCS−1 helper
+// goroutines, acquired without blocking (the caller's own share needs no
+// helper), so a nested fan (chunked assignment inside the restart fan) or a
+// concurrent one (another request's) runs serially once the budget is spent
+// instead of oversubscribing the CPU. Reductions stay serial and in index
+// order; restarts advance in deterministic lockstep rounds.
 //
 // # Clustering quality modes
 //
@@ -186,8 +191,10 @@
 // tie-breaking epsilons are calibrated against (unweighted sums are exact
 // integers and may shortcut to popcounts). Third, argmax scans run in
 // keyword-ID (= lexicographic pool) order with the historical tie-break
-// rules, and all parallel fan-outs (per-cluster Expand calls, the
-// experiment runner) collect results by index. Fourth, global TermIDs are
+// rules, and every parallel fan-out (k-means restarts and scans,
+// per-cluster problems and Expand calls, the experiment runner) goes through
+// internal/par and collects results by index, so how many helpers the shared
+// budget grants never shows in the output. Fourth, global TermIDs are
 // assigned in lexicographic order, so iterating a term table in ascending
 // TermID order is exactly the sorted-string iteration the historical code
 // performed — which makes pool scoring, clustering dot products and

@@ -145,6 +145,24 @@ func TestShardedCapacityClamping(t *testing.T) {
 	}
 }
 
+// TestNewKeepsFirstEntries checks that a cache made by New keeps its first
+// min(capacity, minShardEntries) keys, whatever shards the process's hash
+// seed sends them to: small caches are one exact-LRU shard, larger ones
+// give every shard at least minShardEntries entries.
+func TestNewKeepsFirstEntries(t *testing.T) {
+	for _, capacity := range []int{2, 16, 31, 64, 1024} {
+		c := New[string, int](capacity, StringHash)
+		n := min(capacity, minShardEntries)
+		for i := 0; i < n; i++ {
+			c.Add(fmt.Sprintf("k%d", i), i)
+		}
+		if st := c.Stats(); st.Entries != n || st.Evictions != 0 {
+			t.Errorf("capacity %d: %d entries, %d evictions after %d adds; want all kept",
+				capacity, st.Entries, st.Evictions, n)
+		}
+	}
+}
+
 func TestCacheConcurrent(t *testing.T) {
 	c := New[string, int](128, StringHash)
 	var wg sync.WaitGroup

@@ -82,12 +82,19 @@ type Cache[K comparable, V any] struct {
 	evictions obs.Counter
 }
 
+// minShardEntries is the fewest entries New gives a shard. Keys pick their
+// shard through a per-process random hash seed, so with one entry per shard
+// (a 16-entry cache over 16 shards) a key is evicted by the first other key
+// that lands on its shard, which for two keys happens in one process of 16.
+const minShardEntries = 16
+
 // New returns a cache holding up to capacity entries, striped over
-// DefaultShards shards (fewer when capacity is small, so every shard can hold
-// at least one entry). hash maps a key to a shard; use StringHash for string
-// keys. capacity < 1 is treated as 1.
+// DefaultShards shards, or fewer when capacity is small, so that every shard
+// holds at least minShardEntries entries (a cache of up to 31 entries is
+// one exact-LRU shard). hash maps a key to a shard; use StringHash for
+// string keys. capacity < 1 is treated as 1.
 func New[K comparable, V any](capacity int, hash func(K) uint64) *Cache[K, V] {
-	return NewSharded[K, V](capacity, DefaultShards, hash)
+	return NewSharded[K, V](capacity, min(DefaultShards, capacity/minShardEntries), hash)
 }
 
 // NewSharded is New with an explicit shard count. The count is rounded down

@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"sync"
-
 	"repro/internal/document"
 	"repro/internal/index"
+	"repro/internal/par"
 )
 
 // Linkage selects how agglomerative clustering scores a merge.
@@ -44,35 +43,20 @@ func Agglomerative(idx *index.Index, docs []document.DocID, k int, linkage Linka
 		vecs[i] = VectorFromDocGlobal(idx, id)
 	}
 	// Pairwise similarity matrix; rows fill in parallel. Row i costs i dot
-	// products, so workers take strided rows (w, w+W, w+2W, …) to balance
-	// the triangular workload; each pair (i, j) with j < i is written only
-	// by the worker owning row i, so writes stay disjoint.
+	// products; par.For hands rows out one at a time, which keeps the
+	// triangular workload balanced. Each pair (i, j) with j < i is written
+	// only by row i, so writes stay disjoint.
 	sim := make([][]float64, n)
 	for i := range sim {
 		sim[i] = make([]float64, n)
 	}
-	fillRows := func(start, stride int) {
-		for i := start; i < n; i += stride {
-			for j := 0; j < i; j++ {
-				s := vecs[i].Cosine(vecs[j])
-				sim[i][j] = s
-				sim[j][i] = s
-			}
+	par.For(n, func(i int) {
+		for j := 0; j < i; j++ {
+			s := vecs[i].Cosine(vecs[j])
+			sim[i][j] = s
+			sim[j][i] = s
 		}
-	}
-	if workers := numWorkers(); workers > 1 && n >= minParallel {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fillRows(w, workers)
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		fillRows(0, 1)
-	}
+	})
 	// active clusters as member index lists
 	clusters := make([][]int, n)
 	for i := range clusters {

@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/analysis"
 	"repro/internal/document"
 	"repro/internal/index"
+	"repro/internal/par"
 )
 
 // abcDict is the shared vocabulary of the hand-written vector tests.
@@ -333,14 +335,13 @@ func sameClustering(t *testing.T, label string, a, b *Clustering) {
 func TestKMeansSerialVsConcurrentIdentical(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 25)
 	opts := Options{K: 4, Seed: 9, PlusPlus: true, Restarts: 6}
-	run := func(workers int32) *Clustering {
-		workerOverride.Store(workers)
-		defer workerOverride.Store(0)
+	run := func(workers int) *Clustering {
+		defer par.SetWorkersForTest(workers)()
 		return KMeans(idx, ids, opts)
 	}
 	serial := run(1)
-	for _, w := range []int32{2, 3, 8} {
-		sameClustering(t, "workers="+string(rune('0'+w)), serial, run(w))
+	for _, w := range []int{2, 3, 8} {
+		sameClustering(t, "workers="+strconv.Itoa(w), serial, run(w))
 	}
 	// And the default worker count (whatever GOMAXPROCS is here).
 	sameClustering(t, "workers=default", serial, KMeans(idx, ids, opts))

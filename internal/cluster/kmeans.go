@@ -4,13 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/document"
 	"repro/internal/index"
+	"repro/internal/par"
 	"repro/internal/termdict"
 )
 
@@ -163,83 +162,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// workerOverride pins the worker count for determinism tests; 0 means use
-// GOMAXPROCS.
-var workerOverride atomic.Int32
-
-func numWorkers() int {
-	if w := workerOverride.Load(); w > 0 {
-		return int(w)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// minParallel is the slice size below which goroutine fan-out costs more
-// than it saves. Chunking only changes who computes which index, never the
-// values, so the threshold cannot affect results.
-const minParallel = 256
-
-// parallelFor runs fn over disjoint contiguous chunks of [0, n) on up to
-// numWorkers goroutines and waits for completion. fn must only write state
-// owned by its index range.
-func parallelFor(n int, fn func(lo, hi int)) {
-	w := numWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n < minParallel {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// fanEach runs fn(0..n-1) across up to numWorkers goroutines — one task per
-// index, no minimum-size threshold (tasks are whole restart iterations, never
-// cheap). Tasks only touch their own state, so scheduling cannot affect
-// results.
-func fanEach(n int, fn func(i int)) {
-	w := numWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // KMeans clusters the given documents' TF vectors by cosine distance.
 // Deterministic for a fixed seed regardless of worker count: per-point work
 // is data-parallel, every floating-point reduction (distortion, the D²
@@ -304,7 +226,7 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 //
 // Lockstep is the determinism mechanism for early abandonment (abandon is
 // only set in serving mode): each round advances every live restart by one
-// iteration (fanned across workers — restarts own disjoint state), then
+// iteration (fanned through par.For — restarts own disjoint state), then
 // bookkeeping runs serially in restart index order, so "which restarts had
 // completed when restart r was checked" is a pure function of the iteration
 // counts, never of goroutine timing. A restart is abandoned when its running
@@ -316,7 +238,7 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 	restarts int, pruned, abandon bool) *Clustering {
 
 	states := make([]*runState, restarts)
-	fanEach(restarts, func(r int) {
+	par.For(restarts, func(r int) {
 		ro := opts
 		ro.Seed = opts.Seed + int64(r)*7919 // distinct derived seeds
 		states[r] = newRunState(dim, vecs, ro, pruned)
@@ -350,7 +272,7 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 		if len(live) == 0 {
 			break
 		}
-		fanEach(len(live), func(i int) { live[i].step() })
+		par.For(len(live), func(i int) { live[i].step() })
 		// Serial bookkeeping in restart index order: completions first, then
 		// abandonment against the updated best.
 		for _, st := range states {
@@ -504,7 +426,7 @@ func (st *runState) seedPlusPlus(rng *rand.Rand) {
 	first := st.cents[0]
 	first.setFromVector(vecs[rng.Intn(n)])
 	best := make([]float64, n)
-	parallelFor(n, func(lo, hi int) {
+	par.Chunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			best[i] = first.cosDist(vecs[i])
 		}
@@ -513,7 +435,7 @@ func (st *runState) seedPlusPlus(rng *rand.Rand) {
 	// best equal to the scalar implementation's per-round left-fold over all
 	// centroids (min via strict <, no arithmetic), bit for bit.
 	fold := func(c *centroid) {
-		parallelFor(n, func(lo, hi int) {
+		par.Chunks(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if d := c.cosDist(vecs[i]); d < best[i] {
 					best[i] = d
@@ -616,7 +538,7 @@ func (st *runState) step() {
 func (st *runState) assignFull() bool {
 	var changed atomic.Bool
 	vecs, cents := st.vecs, st.cents
-	parallelFor(len(vecs), func(lo, hi int) {
+	par.Chunks(len(vecs), func(lo, hi int) {
 		ch := false
 		for i := lo; i < hi; i++ {
 			v := vecs[i]
@@ -666,7 +588,7 @@ func (st *runState) assignPruned() bool {
 	}
 	var changed atomic.Bool
 	vecs, cents := st.vecs, st.cents
-	parallelFor(len(vecs), func(lo, hi int) {
+	par.Chunks(len(vecs), func(lo, hi int) {
 		ch := false
 		for i := lo; i < hi; i++ {
 			st.ub[i] += st.drift[st.assign[i]]
@@ -712,7 +634,7 @@ func (st *runState) assignPruned() bool {
 // bit-identical to the unpruned run it matches.
 func (st *runState) exactDistortion() {
 	vecs := st.vecs
-	parallelFor(len(vecs), func(lo, hi int) {
+	par.Chunks(len(vecs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.dists[i] = st.cents[st.assign[i]].cosDist(vecs[i])
 		}

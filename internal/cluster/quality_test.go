@@ -9,6 +9,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/document"
 	"repro/internal/index"
+	"repro/internal/par"
 )
 
 // randomCorpus builds a seeded multi-topic corpus for the quality property
@@ -100,11 +101,11 @@ func TestQualityModesDeterministicAcrossRunsAndWorkers(t *testing.T) {
 		for run := 0; run < 3; run++ {
 			sameClustering(t, q.String()+" rerun", ref, KMeans(idx, ids, opts))
 		}
-		for _, w := range []int32{1, 2, 5} {
-			workerOverride.Store(w)
+		for _, w := range []int{1, 2, 5} {
+			restore := par.SetWorkersForTest(w)
 			cl := KMeans(idx, ids, opts)
-			workerOverride.Store(0)
-			sameClustering(t, q.String()+" workers="+strconv.Itoa(int(w)), ref, cl)
+			restore()
+			sameClustering(t, q.String()+" workers="+strconv.Itoa(w), ref, cl)
 		}
 	}
 }

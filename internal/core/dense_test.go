@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/document"
 	"repro/internal/eval"
+	"repro/internal/par"
 	"repro/internal/search"
 )
 
@@ -153,9 +154,9 @@ func TestDenseContainsAgreesWithContainSet(t *testing.T) {
 }
 
 // TestSolveParallelDeterminism runs Solve (which fans per-cluster work
-// across GOMAXPROCS workers) repeatedly and demands identical output,
-// including bit-identical scores — index-order collection must make the
-// fan-out invisible.
+// through par.For) repeatedly at one to four workers and demands output
+// identical to the serial run, including bit-identical scores — index-order
+// collection must make the fan-out invisible.
 func TestSolveParallelDeterminism(t *testing.T) {
 	problems := []*Problem{
 		randomProblem(1, 8, 10, 10, true),
@@ -163,9 +164,13 @@ func TestSolveParallelDeterminism(t *testing.T) {
 		randomProblem(3, 7, 12, 10, true),
 		randomProblem(4, 10, 9, 10, false),
 	}
-	base := Solve(&ISKR{}, problems)
+	solve := func(workers int) *QECResult {
+		defer par.SetWorkersForTest(workers)()
+		return Solve(&ISKR{}, problems)
+	}
+	base := solve(1)
 	for trial := 0; trial < 8; trial++ {
-		got := Solve(&ISKR{}, problems)
+		got := solve(1 + trial%len(problems))
 		if math.Float64bits(got.Score) != math.Float64bits(base.Score) {
 			t.Fatalf("trial %d: score %v != %v", trial, got.Score, base.Score)
 		}

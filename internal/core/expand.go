@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/index"
-	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/search"
 )
 
@@ -55,80 +52,6 @@ func (r *QECResult) TotalEvaluations() int {
 	return n
 }
 
-// fanSlots is the process-wide budget of extra fan-out workers, sized to
-// the core count at startup. Every ParallelFor acquires its helpers from
-// this budget non-blockingly, so nested fans (Solve inside an experiment
-// fan) and concurrent fans (one per in-flight server request, where the
-// serving layer already runs 2x GOMAXPROCS expansions) degrade gracefully
-// to serial execution instead of oversubscribing the CPU with up to
-// requests x GOMAXPROCS runnable goroutines.
-var fanSlots = make(chan struct{}, runtime.GOMAXPROCS(0)-1)
-
-// Fan telemetry: how much of the process-wide budget multi-item fans
-// actually got. FanSerial counting up while the worker pool is busy is the
-// degrade signal the adaptive-quality control loop (ROADMAP) keys on —
-// per-cluster solving silently running serial under saturation.
-var (
-	FanCalls   obs.Counter // ParallelFor calls with n > 1
-	FanSerial  obs.Counter // ... of those, ran serial (no spare budget)
-	FanHelpers obs.Counter // total helper goroutines granted
-)
-
-// ParallelFor runs fn(0..n-1) across up to min(GOMAXPROCS, n) workers —
-// the calling goroutine plus however many helpers the process-wide budget
-// can spare — and waits. With no spare budget (single core, nested fan, or
-// a saturated server) it degenerates to an inline serial loop. Callers
-// write into index-addressed slots, so the assembled output is identical
-// to a serial run regardless of how many helpers were granted. Shared by
-// the per-cluster solving fan-out here and the experiment runner's
-// per-query fan-out.
-func ParallelFor(n int, fn func(i int)) {
-	if n > 1 {
-		FanCalls.Inc()
-	}
-	extra := 0
-	for extra < n-1 {
-		select {
-		case fanSlots <- struct{}{}:
-			extra++
-			continue
-		default:
-		}
-		break
-	}
-	if extra == 0 {
-		if n > 1 {
-			FanSerial.Inc()
-		}
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	FanHelpers.Add(uint64(extra))
-	var idx atomic.Int64
-	work := func() {
-		for {
-			i := int(idx.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(extra)
-	for w := 0; w < extra; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() { <-fanSlots }()
-			work()
-		}()
-	}
-	work() // the caller participates
-	wg.Wait()
-}
-
 // BuildProblems constructs one Definition 2.2 problem per cluster from a
 // clustering of the user query's results. Since maximizing Eq. 1 decomposes
 // into maximizing each query's F-measure independently (Section 2), solving
@@ -140,9 +63,9 @@ func BuildProblems(idx *index.Index, userQuery search.Query, cl *cluster.Cluster
 }
 
 // Solve runs the expander over every cluster and assembles the QEC result.
-// The per-cluster Expand calls fan out across GOMAXPROCS workers (clusters
-// are independent subproblems); results are collected by cluster index, so
-// the output is bit-identical to a serial run for deterministic expanders.
+// The per-cluster Expand calls fan out through par.For (clusters are
+// independent subproblems); results are collected by cluster index, so the
+// output is bit-identical to a serial run for deterministic expanders.
 func Solve(expander Expander, problems []*Problem) *QECResult {
 	res, _ := SolveCtx(context.Background(), expander, problems)
 	return res
@@ -159,7 +82,7 @@ func SolveCtx(ctx context.Context, expander Expander, problems []*Problem) (*QEC
 		Method:     expander.Name(),
 		Expansions: make([]ClusterExpansion, len(problems)),
 	}
-	ParallelFor(len(problems), func(i int) {
+	par.For(len(problems), func(i int) {
 		if ctx.Err() != nil {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"repro/internal/document"
 	"repro/internal/eval"
 	"repro/internal/index"
+	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/termdict"
 )
@@ -121,10 +122,10 @@ func (u *Universe) Vectors() []*cluster.Vector {
 // partition the universe (every cluster of the request's results does), so
 // each problem's C ∪ U is the full universe and the shared snapshot state
 // applies verbatim. Bit-identical to calling NewProblem per cluster; the
-// per-cluster constructions fan out like problemsFromSets always did.
+// per-cluster constructions fan out through par.For.
 func (u *Universe) Problems(sets []document.DocSet) []*Problem {
 	problems := make([]*Problem, len(sets))
-	ParallelFor(len(sets), func(i int) {
+	par.For(len(sets), func(i int) {
 		other := document.DocSet{}
 		for j, s := range sets {
 			if j != i {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/userstudy"
 )
@@ -46,12 +47,12 @@ func (s *Study) serialTiming() ([][]MethodQueries, []time.Duration) {
 }
 
 // RunStudy prepares and evaluates all 20 test queries once. Evaluation fans
-// out across GOMAXPROCS workers (queries are independent); collection is by
-// index, so the study is identical to a serially built one.
+// out through par.For (queries are independent); collection is by index, so
+// the study is identical to a serially built one.
 func (r *Runner) RunStudy() *Study {
 	runs := r.AllQueryRuns()
 	methods := make([][]MethodQueries, len(runs))
-	core.ParallelFor(len(runs), func(i int) {
+	par.For(len(runs), func(i int) {
 		methods[i] = r.RunAll(runs[i])
 	})
 	return &Study{runner: r, Runs: runs, Methods: methods}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/document"
 	"repro/internal/eval"
+	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/userstudy"
 )
@@ -400,9 +401,9 @@ func (r *Runner) helpfulness(qr *QueryRun, q search.Query) float64 {
 }
 
 // AllQueryRuns prepares every test query of both datasets, in Table 1
-// order. The per-query pipelines are independent and fan out across
-// GOMAXPROCS workers; results are collected by index, so the returned slice
-// is identical to a serial run's.
+// order. The per-query pipelines are independent and fan out through
+// par.For; results are collected by index, so the returned slice is
+// identical to a serial run's.
 func (r *Runner) AllQueryRuns() []*QueryRun {
 	type job struct {
 		d  *dataset.Dataset
@@ -415,7 +416,7 @@ func (r *Runner) AllQueryRuns() []*QueryRun {
 		}
 	}
 	out := make([]*QueryRun, len(jobs))
-	core.ParallelFor(len(jobs), func(i int) {
+	par.For(len(jobs), func(i int) {
 		out[i] = r.Prepare(jobs[i].d, jobs[i].tq)
 	})
 	return out

@@ -8,9 +8,9 @@ import (
 	"time"
 
 	qec "repro"
-	"repro/internal/core"
 	"repro/internal/degrade"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // GET /metrics renders the server's telemetry in Prometheus text exposition
@@ -212,15 +212,15 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		"Restarts abandoned early by serving-mode early abandonment.", "counter")
 	dst = obs.AppendPromUint(dst, "qec_kmeans_abandoned_restarts_total", "", m.AbandonedRestarts.Load())
 
-	// --- core fan budget (process-wide, shared with the experiment runner) ---
+	// --- fan budget (process-wide, internal/par) ---
 	dst = obs.AppendPromHeader(dst, "qec_core_fans_total",
-		"Multi-item ParallelFor fans (per-cluster solving and experiment sweeps).", "counter")
-	dst = obs.AppendPromUint(dst, "qec_core_fans_total", "", core.FanCalls.Load())
+		"Fans that could use helpers: k-means restarts and assignment scans, per-cluster problems and solving, experiment sweeps.", "counter")
+	dst = obs.AppendPromUint(dst, "qec_core_fans_total", "", par.Fans.Load())
 	dst = obs.AppendPromHeader(dst, "qec_core_fans_serial_total",
 		"Fans that ran serial because the process-wide worker budget was exhausted.", "counter")
-	dst = obs.AppendPromUint(dst, "qec_core_fans_serial_total", "", core.FanSerial.Load())
+	dst = obs.AppendPromUint(dst, "qec_core_fans_serial_total", "", par.SerialFans.Load())
 	dst = obs.AppendPromHeader(dst, "qec_core_fan_helpers_total",
 		"Helper goroutines granted to fans from the process-wide budget.", "counter")
-	dst = obs.AppendPromUint(dst, "qec_core_fan_helpers_total", "", core.FanHelpers.Load())
+	dst = obs.AppendPromUint(dst, "qec_core_fan_helpers_total", "", par.Helpers.Load())
 	return dst
 }

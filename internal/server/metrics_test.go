@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,44 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestColdExpandCountsEveryFan checks that the fan telemetry covers the
+// whole pipeline, k-means included: one cold /expand with k = 2 raises
+// qec_core_fans_total by at least three — the k-means restart fan plus the
+// per-cluster problem and solve fans.
+func TestColdExpandCountsEveryFan(t *testing.T) {
+	ts := httptest.NewServer(New(ambiguousEngine(t), Options{}).Handler())
+	defer ts.Close()
+	fansRe := regexp.MustCompile(`(?m)^qec_core_fans_total (\d+)$`)
+	fans := func() uint64 {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := fansRe.FindSubmatch(data)
+		if m == nil {
+			t.Fatal("exposition has no qec_core_fans_total sample")
+		}
+		n, err := strconv.ParseUint(string(m[1]), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := fans()
+	if resp, data := postJSON(t, ts.Client(), ts.URL+"/expand", ExpandRequest{Query: "apple", K: 2}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, data)
+	}
+	if d := fans() - before; d < 3 {
+		t.Fatalf("qec_core_fans_total rose by %d on a cold k=2 expansion, want >= 3", d)
 	}
 }
 

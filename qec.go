@@ -330,7 +330,7 @@ type ExpandOptions struct {
 	// Unweighted disables rank-weighted precision/recall.
 	Unweighted bool
 	// Parallel is retained for API compatibility: per-cluster expansion now
-	// always fans out across a process-wide GOMAXPROCS worker budget
+	// always fans out through internal/par's process-wide worker budget
 	// (degrading to serial under load) with index-order collection, so this
 	// flag no longer changes behaviour (results were and remain identical
 	// either way).
