@@ -333,7 +333,7 @@ func BenchmarkAblationPEBCBudget(b *testing.B) {
 	b.ReportMetric(large, "eq1_5x5")
 }
 
-// --- Extensions (OR semantics, interleaving, parallel solve) --------------------
+// --- Extensions (OR semantics, interleaving) --------------------
 
 func BenchmarkExtensionORISKR(b *testing.B) {
 	problems := ablationProblems(b)
@@ -357,14 +357,6 @@ func BenchmarkExtensionInterleave(b *testing.B) {
 	}
 	b.ReportMetric(oneShot, "eq1_oneshot")
 	b.ReportMetric(interleaved, "eq1_interleaved")
-}
-
-func BenchmarkExtensionSolveParallel(b *testing.B) {
-	problems := ablationProblems(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SolveParallel(&core.ISKR{}, problems)
-	}
 }
 
 func BenchmarkExtensionDynamicClusteringSelection(b *testing.B) {

@@ -94,9 +94,3 @@ func SolveCtx(ctx context.Context, expander Expander, problems []*Problem) (*QEC
 	res.Score = eval.Score(res.FMeasures())
 	return res, nil
 }
-
-// SolveParallel is retained for API compatibility: Solve itself now expands
-// the clusters concurrently, so this simply delegates.
-func SolveParallel(expander Expander, problems []*Problem) *QECResult {
-	return Solve(expander, problems)
-}

@@ -2,11 +2,9 @@ package core
 
 // Tests for the paper-adjacent extensions: OR semantics (the paper's
 // appendix problem), interleaved clustering+expansion and dynamic
-// clustering selection (both named in Section 7's future work), and
-// parallel solving.
+// clustering selection (both named in Section 7's future work).
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/analysis"
@@ -182,38 +180,6 @@ func TestSelectClusteringSkipsEmpty(t *testing.T) {
 	best, res := SelectClustering(idx, q, cands, nil, DefaultPoolOptions(), nil)
 	if best.Name != "real" || res == nil {
 		t.Errorf("selected %q", best.Name)
-	}
-}
-
-func TestSolveParallelMatchesSolve(t *testing.T) {
-	problems := []*Problem{
-		randomProblem(1, 10, 12, 10, false),
-		randomProblem(2, 10, 12, 10, false),
-		randomProblem(3, 10, 12, 10, false),
-	}
-	problems2 := []*Problem{
-		randomProblem(1, 10, 12, 10, false),
-		randomProblem(2, 10, 12, 10, false),
-		randomProblem(3, 10, 12, 10, false),
-	}
-	seq := Solve(&ISKR{}, problems)
-	par := SolveParallel(&ISKR{}, problems2)
-	if math.Abs(seq.Score-par.Score) > 1e-12 {
-		t.Fatalf("scores differ: %v vs %v", seq.Score, par.Score)
-	}
-	for i := range seq.Expansions {
-		a := seq.Expansions[i].Expanded.Query.String()
-		b := par.Expansions[i].Expanded.Query.String()
-		if a != b {
-			t.Errorf("cluster %d: %q vs %q", i, a, b)
-		}
-	}
-}
-
-func TestSolveParallelEmpty(t *testing.T) {
-	res := SolveParallel(&ISKR{}, nil)
-	if res.Score != 0 || len(res.Expansions) != 0 {
-		t.Errorf("empty parallel solve = %+v", res)
 	}
 }
 

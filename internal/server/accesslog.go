@@ -2,9 +2,11 @@ package server
 
 import (
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -137,4 +139,86 @@ func (s *Server) logRequest(e *accessEntry) {
 		e.stages = true
 		s.slowLog.log(func(dst []byte) []byte { return appendAccessEntry(dst, e, now) })
 	}
+}
+
+// --- log-line encoding ------------------------------------------------------
+
+// The access log, the slow-query log and DumpActive append their lines
+// directly into the logger's reused buffer with these two helpers.
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends a quoted, escaped JSON string, byte-identical to
+// encoding/json's default (HTML-escaping) encoder.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"':
+				dst = append(dst, '\\', '"')
+			case '\\':
+				dst = append(dst, '\\', '\\')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				// Control characters and the HTML-sensitive <, >, & become
+				// \u00xx, matching the stdlib's escapeHTML behaviour.
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			// Invalid UTF-8 becomes the six-byte escape, matching the
+			// stdlib encoder (which writes \ufffd, not the literal rune).
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			i += size
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// appendJSONFloat appends a float exactly as encoding/json formats it
+// (shortest representation, 'e' form outside [1e-6, 1e21) with a trimmed
+// exponent). The logged values are finite by construction.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// Trim "e+09" to "e+9", as the stdlib does.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }

@@ -51,11 +51,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	wb := bufPool.Get().(*wireBuf)
 	defer bufPool.Put(wb)
-	wb.enc = s.appendMetrics(wb.enc[:0])
+	wb.out.Reset()
+	wb.out.Write(s.appendMetrics(wb.out.AvailableBuffer()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(wb.enc)))
+	w.Header().Set("Content-Length", strconv.Itoa(wb.out.Len()))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(wb.enc)
+	_, _ = w.Write(wb.out.Bytes())
 }
 
 // buildInfoLabels is the qec_build_info label set, rendered once at startup:

@@ -929,18 +929,23 @@ func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method stri
 // wireBuf is the per-request scratch the wire layer recycles: the request
 // body is slurped into body and decoded off it in one shot through the
 // resettable reader, and the response is encoded into out and written with
-// an explicit Content-Length. At steady state neither buffer reallocates, no
-// per-request buffered reader grows against the socket, and responses skip
-// chunked encoding (one Write, one syscall).
+// an explicit Content-Length. Every JSON request and response goes through
+// encoding/json, so the struct tags in wire.go are the one definition of the
+// wire format. At steady state neither buffer reallocates, no per-request
+// buffered reader grows against the socket, and responses skip chunked
+// encoding (one Write, one syscall).
 type wireBuf struct {
 	body bytes.Buffer
 	out  bytes.Buffer
-	enc  []byte // append scratch for the hand-rolled response encoders
 	rdr  bytes.Reader
 }
 
 var bufPool = sync.Pool{New: func() any { return new(wireBuf) }}
 
+// decode reads the request body and decodes it into v strictly: unknown
+// fields, type mismatches, malformed JSON and trailing data are all 400s;
+// null leaves a field at its zero value, and keys match case-insensitively,
+// as encoding/json does.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	wb := bufPool.Get().(*wireBuf)
@@ -955,18 +960,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return false
 	}
-	// Decode straight off the pooled bytes; both decode paths copy what
-	// they keep (strings), so recycling the buffer after return is safe.
-	// The two wire request types carry their own strict hand-rolled decoder
-	// (see codec.go) — no per-request json.Decoder, no decoder read buffer;
-	// anything else falls back to encoding/json with the same strictness.
-	if hr, ok := v.(jsonDecodable); ok {
-		if err := hr.decodeJSON(wb.body.Bytes()); err != nil {
-			s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-			return false
-		}
-		return true
-	}
+	// Decode straight off the pooled bytes; the decoder copies what it
+	// keeps (strings), so recycling the buffer after return is safe.
 	wb.rdr.Reset(wb.body.Bytes())
 	dec := json.NewDecoder(&wb.rdr)
 	dec.DisallowUnknownFields()
@@ -981,19 +976,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// writeJSON encodes v into the pooled buffer (encoding/json ends it with a
+// newline) and writes it in one call with an explicit Content-Length.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	wb := bufPool.Get().(*wireBuf)
 	defer bufPool.Put(wb)
-	// The two hot response shapes append themselves into the pooled scratch
-	// directly (see codec.go); everything else takes the generic encoder.
-	if ha, ok := v.(jsonAppendable); ok {
-		wb.enc = ha.appendJSON(wb.enc[:0])
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(wb.enc)))
-		w.WriteHeader(status)
-		_, _ = w.Write(wb.enc)
-		return
-	}
 	wb.out.Reset()
 	if err := json.NewEncoder(&wb.out).Encode(v); err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)

@@ -133,6 +133,9 @@ func TestExpandRoundTrip(t *testing.T) {
 	}
 }
 
+// TestErrorPaths pins the status of every malformed or rejected request,
+// plus the accepted edge cases of the strict decoder (null fields and
+// case-insensitive keys, as encoding/json matches them).
 func TestErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(New(ambiguousEngine(t), Options{}).Handler())
 	defer ts.Close()
@@ -151,6 +154,16 @@ func TestErrorPaths(t *testing.T) {
 		{"bad json", "POST", "/expand", `{"query": `, http.StatusBadRequest},
 		{"unknown field", "POST", "/expand", `{"query": "apple", "bogus": 1}`, http.StatusBadRequest},
 		{"unknown method", "POST", "/expand", `{"query": "apple", "method": "magic"}`, http.StatusBadRequest},
+		// The decoder is encoding/json with DisallowUnknownFields and a
+		// trailing-data check; these rows pin its strictness at the HTTP level.
+		{"trailing data", "POST", "/expand", `{"query":"apple"} x`, http.StatusBadRequest},
+		{"search trailing data", "POST", "/search", `{"query":"apple"} x`, http.StatusBadRequest},
+		{"string for int", "POST", "/expand", `{"query":"apple","k":"two"}`, http.StatusBadRequest},
+		{"fraction for int", "POST", "/search", `{"query":"apple","top_k":1.5}`, http.StatusBadRequest},
+		{"null field", "POST", "/expand", `{"query":"apple","k":null}`, http.StatusOK},
+		{"removed parallel field", "POST", "/expand", `{"query":"apple","parallel":true}`, http.StatusBadRequest},
+		{"case-folded key", "POST", "/expand", `{"QUERY":"apple"}`, http.StatusOK},
+		{"search case-folded key", "POST", "/search", `{"Top_K":3,"query":"apple"}`, http.StatusOK},
 		{"GET on expand", "GET", "/expand", ``, http.StatusMethodNotAllowed},
 		{"POST on healthz", "POST", "/healthz", ``, http.StatusMethodNotAllowed},
 		{"POST on stats", "POST", "/stats", ``, http.StatusMethodNotAllowed},
@@ -168,6 +181,9 @@ func TestErrorPaths(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantCode {
 			t.Errorf("%s: status = %d; want %d (body %s)", tc.name, resp.StatusCode, tc.wantCode, data)
+		}
+		if tc.wantCode == http.StatusOK {
+			continue
 		}
 		e := decode[ErrorResponse](t, data)
 		if e.Error == "" {
@@ -420,5 +436,67 @@ func TestBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d; want 413", resp.StatusCode)
+	}
+}
+
+// TestExpandQualityWire drives the quality field end to end: valid modes
+// round-trip, unknown ones 400, and the server-level default applies only
+// when the request leaves the field empty.
+func TestExpandQualityWire(t *testing.T) {
+	ts := httptest.NewServer(New(ambiguousEngine(t), Options{}).Handler())
+	defer ts.Close()
+	for _, quality := range []string{"", "exact", "serving"} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/expand",
+			ExpandRequest{Query: "apple", K: 2, Quality: quality})
+		if resp.StatusCode != 200 {
+			t.Fatalf("quality %q: status %d, body %s", quality, resp.StatusCode, data)
+		}
+		er := decode[ExpandResponse](t, data)
+		if er.Score <= 0 {
+			t.Fatalf("quality %q: score %v", quality, er.Score)
+		}
+	}
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/expand",
+		ExpandRequest{Query: "apple", Quality: "warp"})
+	if resp.StatusCode != 400 {
+		t.Fatalf("unknown quality: status %d, body %s", resp.StatusCode, data)
+	}
+
+	// A serving-default server still honours explicit per-request "exact".
+	def := httptest.NewServer(New(ambiguousEngine(t),
+		Options{DefaultQuality: qec.QualityServing}).Handler())
+	defer def.Close()
+	for _, quality := range []string{"", "exact"} {
+		resp, data := postJSON(t, def.Client(), def.URL+"/expand",
+			ExpandRequest{Query: "apple", K: 2, Quality: quality})
+		if resp.StatusCode != 200 {
+			t.Fatalf("default-serving, quality %q: status %d, body %s", quality, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestExpandRequestOptionsQuality pins the wire→ExpandOptions mapping of the
+// quality field, including the server-default fallback.
+func TestExpandRequestOptionsQuality(t *testing.T) {
+	cases := []struct {
+		wire string
+		def  qec.Quality
+		want qec.Quality
+		ok   bool
+	}{
+		{"", qec.QualityExact, qec.QualityExact, true},
+		{"", qec.QualityServing, qec.QualityServing, true},
+		{"exact", qec.QualityServing, qec.QualityExact, true},
+		{"Serving", qec.QualityExact, qec.QualityServing, true},
+		{"bogus", qec.QualityExact, qec.QualityExact, false},
+	}
+	for _, tc := range cases {
+		opts, err := (&ExpandRequest{Query: "q", Quality: tc.wire}).Options(tc.def)
+		if (err == nil) != tc.ok {
+			t.Fatalf("quality %q: err = %v, want ok=%v", tc.wire, err, tc.ok)
+		}
+		if err == nil && opts.Quality != tc.want {
+			t.Fatalf("quality %q (default %v): got %v, want %v", tc.wire, tc.def, opts.Quality, tc.want)
+		}
 	}
 }

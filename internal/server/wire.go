@@ -46,8 +46,6 @@ type ExpandRequest struct {
 	Method string `json:"method,omitempty"`
 	// Unweighted disables rank-weighted precision/recall.
 	Unweighted bool `json:"unweighted,omitempty"`
-	// Parallel expands the clusters concurrently.
-	Parallel bool `json:"parallel,omitempty"`
 	// Interleave alternates expansion and re-clustering for up to this many
 	// rounds (0 = off).
 	Interleave int `json:"interleave,omitempty"`
@@ -87,7 +85,6 @@ func (r *ExpandRequest) Options(def qec.Quality) (qec.ExpandOptions, error) {
 		TopK:       r.TopK,
 		Method:     method,
 		Unweighted: r.Unweighted,
-		Parallel:   r.Parallel,
 		Interleave: r.Interleave,
 		Quality:    quality,
 	}, nil

@@ -329,12 +329,6 @@ type ExpandOptions struct {
 	MethodName string
 	// Unweighted disables rank-weighted precision/recall.
 	Unweighted bool
-	// Parallel is retained for API compatibility: per-cluster expansion now
-	// always fans out through internal/par's process-wide worker budget
-	// (degrading to serial under load) with index-order collection, so this
-	// flag no longer changes behaviour (results were and remain identical
-	// either way).
-	Parallel bool
 	// Interleave alternates expansion and cluster re-assignment (the
 	// paper's future-work "interweaving" idea) for up to this many rounds;
 	// 0 disables it.
@@ -422,8 +416,7 @@ func (e *Engine) CacheStats() CacheStats {
 // term list — produced by search.ParseQuery itself, so cache identity can
 // never drift from query identity — plus every result-affecting option.
 // The method leg is the backend's canonical label (custom backends are
-// "x:"-prefixed), so two backends can never share a cached entry. Parallel
-// is deliberately excluded — it changes scheduling, not results.
+// "x:"-prefixed), so two backends can never share a cached entry.
 func (e *Engine) expandKey(raw string, opts ExpandOptions) string {
 	e.Build()
 	var sb strings.Builder
@@ -647,7 +640,7 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 			}
 		}
 		// Solve fans per-cluster work across the process-wide worker budget
-		// (serial under contention), so the Parallel flag needs no branch.
+		// (serial under contention).
 		// SolveCtx checks the context at cluster boundaries; a cancelled
 		// solve errors out here instead of assembling a partial expansion.
 		tr.Begin(obs.StageSolve)

@@ -38,25 +38,6 @@ func TestLoadEngineRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestEngineExpandParallelMatchesSequential(t *testing.T) {
-	seq, err := seedEngine(t).Expand("apple", ExpandOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := seedEngine(t).Expand("apple", ExpandOptions{K: 2, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Score != par.Score || len(seq.Queries) != len(par.Queries) {
-		t.Fatalf("parallel differs: %v vs %v", seq.Score, par.Score)
-	}
-	for i := range seq.Queries {
-		if strings.Join(seq.Queries[i].Terms, " ") != strings.Join(par.Queries[i].Terms, " ") {
-			t.Errorf("query %d differs", i)
-		}
-	}
-}
-
 func TestEngineExpandInterleaveAtLeastAsGood(t *testing.T) {
 	base, err := seedEngine(t).Expand("apple", ExpandOptions{K: 2})
 	if err != nil {

@@ -19,7 +19,7 @@ func TestExpandTracedBitIdentical(t *testing.T) {
 		{K: 2, Method: DeltaF},
 		{K: 2, Method: ORExpansion},
 		{K: 2, Unweighted: true},
-		{K: 2, Parallel: true},
+		{K: 2},
 		{K: 2, Interleave: 2},
 	}
 	for _, opts := range optGrid {
