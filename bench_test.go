@@ -8,6 +8,7 @@ package qec
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/eval"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -221,10 +221,14 @@ func BenchmarkFigure8Listing(b *testing.B) {
 func benchClusteringTime(b *testing.B, ds *dataset.Dataset, raw string, topK int) {
 	eng := search.NewEngine(ds.Index)
 	q := search.ParseQuery(ds.Index, raw)
-	ids := search.ResultSet(eng.Search(q, search.And, topK)).IDs()
+	ids := search.ResultIDs(eng.Search(q, search.And, topK))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.KMeans(ds.Index, ids, cluster.Options{K: 3, Seed: 1, PlusPlus: true})
+		vecs := make([]*cluster.Vector, len(ids))
+		for j, id := range ids {
+			vecs[j] = cluster.VectorFromDocGlobal(ds.Index, id)
+		}
+		cluster.KMeansVecs(ds.Index.NumTerms(), vecs, ids, cluster.Options{K: 3, Seed: 1, PlusPlus: true})
 	}
 }
 
@@ -285,15 +289,20 @@ func BenchmarkAblationISKRNoRemoval(b *testing.B) {
 func BenchmarkAblationWeighted(b *testing.B) {
 	r, _ := sharedBench(b)
 	qr := r.Prepare(r.Wiki, dataset.TestQuery{ID: "QW5", Raw: "eclipse"})
-	q := qr.Query
-	// Rebuild problems without rank weights for the unweighted arm.
-	unweighted := core.BuildProblems(r.Wiki.Index, q, qr.Clustering, nil,
-		core.DefaultPoolOptions())
+	// The unweighted arm: the same pipeline over the same results without
+	// rank weights (clustering ignores the weights).
+	unweighted, _ := core.ClusterExpand(context.Background(), core.ClusterInput{
+		Index: r.Wiki.Index, Query: qr.Query, Results: qr.Results, Unweighted: true,
+		Cluster: cluster.Options{K: qr.Clustering.K(), Seed: r.Config.Seed, PlusPlus: true, Restarts: 5},
+	})
+	if !reflect.DeepEqual(unweighted.Clustering.Clusters, qr.Clustering.Clusters) {
+		b.Fatal("the unweighted arm clustered differently")
+	}
 	b.ResetTimer()
 	var w, uw float64
 	for i := 0; i < b.N; i++ {
 		w = core.Solve(&core.ISKR{}, qr.Problems).Score
-		uw = core.Solve(&core.ISKR{}, unweighted).Score
+		uw = core.Solve(&core.ISKR{}, unweighted.Problems).Score
 	}
 	b.ReportMetric(w, "eq1_weighted")
 	b.ReportMetric(uw, "eq1_unweighted")
@@ -301,21 +310,18 @@ func BenchmarkAblationWeighted(b *testing.B) {
 
 func BenchmarkAblationClustering(b *testing.B) {
 	r, _ := sharedBench(b)
-	eng := search.NewEngine(r.Wiki.Index)
 	q := search.ParseQuery(r.Wiki.Index, "mouse")
-	results := eng.Search(q, search.And, 30)
-	ids := search.ResultSet(results).IDs()
-	weights := eval.Weights{}
-	for _, res := range results {
-		weights[res.Doc] = res.Score
-	}
+	results := search.NewEngine(r.Wiki.Index).Search(q, search.And, 30)
 	b.ResetTimer()
 	var km, agg float64
 	for i := 0; i < b.N; i++ {
-		ck := cluster.KMeans(r.Wiki.Index, ids, cluster.Options{K: 3, Seed: 1, PlusPlus: true, Restarts: 5})
-		km = core.Solve(&core.ISKR{}, core.BuildProblems(r.Wiki.Index, q, ck, weights, core.DefaultPoolOptions())).Score
-		ca := cluster.Agglomerative(r.Wiki.Index, ids, 3, cluster.AverageLinkage)
-		agg = core.Solve(&core.ISKR{}, core.BuildProblems(r.Wiki.Index, q, ca, weights, core.DefaultPoolOptions())).Score
+		run, _ := core.ClusterExpand(context.Background(), core.ClusterInput{
+			Index: r.Wiki.Index, Query: q, Results: results, Solver: &core.ISKR{},
+			Cluster: cluster.Options{K: 3, Seed: 1, PlusPlus: true, Restarts: 5},
+		})
+		km = run.Result.Score
+		ca := cluster.Agglomerative(r.Wiki.Index, run.Universe.Docs(), 3, cluster.AverageLinkage)
+		agg = core.Solve(&core.ISKR{}, run.Universe.Problems(ca.Sets())).Score
 	}
 	b.ReportMetric(km, "eq1_kmeans")
 	b.ReportMetric(agg, "eq1_agglomerative")
@@ -353,26 +359,14 @@ func BenchmarkExtensionInterleave(b *testing.B) {
 	var oneShot, interleaved float64
 	for i := 0; i < b.N; i++ {
 		oneShot = core.Solve(&core.ISKR{}, qr.Problems).Score
-		interleaved = it.Run(r.Wiki.Index, qr.Query, qr.Clustering, qr.Weights).Result.Score
+		res, err := it.Run(context.Background(), qr.Universe, qr.Clustering)
+		if err != nil {
+			b.Fatal(err)
+		}
+		interleaved = res.Result.Score
 	}
 	b.ReportMetric(oneShot, "eq1_oneshot")
 	b.ReportMetric(interleaved, "eq1_interleaved")
-}
-
-func BenchmarkExtensionDynamicClusteringSelection(b *testing.B) {
-	r, _ := sharedBench(b)
-	eng := search.NewEngine(r.Wiki.Index)
-	q := search.ParseQuery(r.Wiki.Index, "domino")
-	ids := search.ResultSet(eng.Search(q, search.And, 30)).IDs()
-	b.ResetTimer()
-	var score float64
-	for i := 0; i < b.N; i++ {
-		cands := core.DefaultClusteringCandidates(r.Wiki.Index, ids, 3, 1)
-		_, res := core.SelectClustering(r.Wiki.Index, q, cands, nil,
-			core.DefaultPoolOptions(), nil)
-		score = res.Score
-	}
-	b.ReportMetric(score, "eq1_selected")
 }
 
 // --- Public API end-to-end -----------------------------------------------------
@@ -587,7 +581,7 @@ func BenchmarkPostingsIter(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolScoring measures candidate-pool selection (NewProblem's
+// BenchmarkPoolScoring measures candidate-pool selection (NewUniverse's
 // scoring phase) on QW2 "columbia": a flat TF-IDF accumulation over global
 // TermIDs. The allocs/op ceiling pinned by the benchdiff gate guards the
 // "zero map allocations" property — reintroducing a string map here would

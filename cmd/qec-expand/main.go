@@ -13,7 +13,9 @@
 //
 // -method help prints the capability matrix of every built-in method.
 // -trace prints a per-stage timing table (parse, search, problem, cluster,
-// solve) to stderr after the run, reusing the serving layer's obs.Trace.
+// solve) to stderr after the run, reusing the serving layer's obs.Trace. The
+// clustered methods and the cs baseline run core.ClusterExpand, the pipeline
+// the server runs, so the table has the server's stages.
 // -explain prints the decision trail: top-K pruning counters, each k-means
 // restart's fate, the candidate pool each cluster's solver saw (benefit,
 // cost, value), the moves/samples it applied, and what every rejected
@@ -21,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -91,11 +94,10 @@ func main() {
 		}
 	}
 
-	// tr stays nil without -trace; every obs.Trace method is nil-safe, so the
-	// pipeline below carries no flag checks.
-	var tr *obs.Trace
+	// The trace always records — the stage durations are the times printed
+	// below — and -trace also prints its table.
+	tr := obs.GetTrace()
 	if *traceOpt {
-		tr = obs.GetTrace()
 		tr.ID = obs.NextTraceID()
 		defer func() {
 			fmt.Fprintf(os.Stderr, "\ntrace %s\n", obs.IDString(tr.ID))
@@ -130,14 +132,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no results for %q\n", *query)
 		os.Exit(1)
 	}
-	tr.Begin(obs.StageProblem)
-	universe := search.ResultSet(results)
-	weights := eval.Weights{}
-	for _, r := range results {
-		weights[r.Doc] = r.Score
-	}
-	tr.End(obs.StageProblem)
-
 	// Non-cluster baselines short-circuit before clustering.
 	switch *method {
 	case "dataclouds":
@@ -178,27 +172,46 @@ func main() {
 		return
 	}
 
-	start := time.Now()
+	// The paper's pipeline, as the server runs it. The cs baseline labels
+	// the clusters itself, so it runs without a solver.
+	var solver core.Expander
+	if !baselineMethod {
+		switch m {
+		case qec.PEBC:
+			solver = &core.PEBC{Seed: *seed}
+		case qec.DeltaF:
+			solver = &core.FMeasureVariant{}
+		case qec.ORExpansion:
+			solver = &core.ORISKR{}
+		default:
+			solver = &core.ISKR{}
+		}
+	}
 	copts := cluster.Options{K: *k, Seed: *seed, PlusPlus: true, Restarts: 5}
 	if *explain {
 		copts.Trail = &cluster.Trail{}
 	}
-	tr.Begin(obs.StageCluster)
-	cl := cluster.KMeans(d.Index, universe.IDs(), copts)
-	tr.End(obs.StageCluster)
+	run, err := core.ClusterExpand(context.Background(), core.ClusterInput{
+		Index: d.Index, Query: q, Results: results, Cluster: copts,
+		Solver: solver, Trace: tr, Explain: *explain,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	cl := run.Clustering
 	printKMeansTrail(copts.Trail, cl)
-	tr.SetKMeans(cl.Restarts, cl.TotalIterations, cl.AbandonedRestarts)
 	fmt.Printf("%d results, %d clusters (k-means, %v)\n",
-		len(results), cl.K(), time.Since(start))
+		len(results), cl.K(), tr.Durations[obs.StageCluster])
 
-	if *method == "cs" {
+	if solver == nil {
 		cs := &baseline.CS{LabelSize: 3}
 		queries := cs.Suggest(d.Index, cl, q)
 		sets := cl.Sets()
 		var fs []float64
 		for i, eq := range queries {
-			retrieved := baseline.RetrieveWithin(d.Index, eq, universe)
-			mm := eval.Measure(retrieved, sets[i], weights)
+			retrieved := baseline.RetrieveWithin(d.Index, eq, run.Universe.Set)
+			mm := eval.Measure(retrieved, sets[i], run.Universe.Weights)
 			fs = append(fs, mm.F)
 			fmt.Printf("q%d: %q  P=%.2f R=%.2f F=%.2f\n", i+1,
 				strings.Join(eq.Terms, ", "), mm.Precision, mm.Recall, mm.F)
@@ -207,39 +220,16 @@ func main() {
 		return
 	}
 
-	var ex core.Expander
-	switch m {
-	case qec.PEBC:
-		ex = &core.PEBC{Seed: *seed}
-	case qec.DeltaF:
-		ex = &core.FMeasureVariant{}
-	case qec.ORExpansion:
-		ex = &core.ORISKR{}
-	default:
-		ex = &core.ISKR{}
-	}
-	tr.Begin(obs.StageProblem)
-	problems := core.BuildProblems(d.Index, q, cl, weights, core.DefaultPoolOptions())
-	tr.End(obs.StageProblem)
-	if *explain {
-		for _, p := range problems {
-			p.Trail = &core.Trail{}
-		}
-	}
-	start = time.Now()
-	tr.Begin(obs.StageSolve)
-	res := core.Solve(ex, problems)
-	tr.End(obs.StageSolve)
-	elapsed := time.Since(start)
+	res := run.Result
 	for i, ce := range res.Expansions {
 		prf := ce.Expanded.PRF
 		fmt.Printf("q%d: %q  P=%.2f R=%.2f F=%.2f (cluster of %d)\n", i+1,
 			strings.Join(ce.Expanded.Query.Terms, ", "),
 			prf.Precision, prf.Recall, prf.F, len(cl.Clusters[i]))
 	}
-	fmt.Printf("score (Eq. 1): %.3f   expansion time: %v\n", res.Score, elapsed)
+	fmt.Printf("score (Eq. 1): %.3f   expansion time: %v\n", res.Score, tr.Durations[obs.StageSolve])
 	if *explain {
-		printSolveTrails(problems, res)
+		printSolveTrails(run.Problems, res)
 	}
 }
 

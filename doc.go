@@ -60,6 +60,9 @@
 //     pipeline — k-means over result TF vectors, one expansion problem per
 //     cluster, solved by the selected core algorithm. Expansion.Clusters
 //     carries the membership; Quality, Interleave and the engine seed apply.
+//     One function, internal/core's ClusterExpand, runs this pipeline for
+//     the engine, the experiment harness, qec-expand and the examples, so
+//     the paper's figures come from the code the server runs.
 //   - VectorNeighborhood ("vector"): the TF-IDF centroid of the top results
 //     ranks neighborhood terms; top non-query terms become single-term
 //     expansions measured against the whole neighborhood. The classic

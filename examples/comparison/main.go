@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,16 +23,17 @@ func main() {
 	raw := "eclipse"
 	q := search.ParseQuery(d.Index, raw)
 	results := eng.Search(q, search.And, 30)
-	universe := search.ResultSet(results)
-	weights := eval.Weights{}
-	for _, r := range results {
-		weights[r.Doc] = r.Score
-	}
-	cl := cluster.KMeans(d.Index, universe.IDs(), cluster.Options{
-		K: 3, Seed: 5, PlusPlus: true, Restarts: 5,
+	// The paper's pipeline without a solver: cluster the results and build
+	// one problem per cluster, solved below by each cluster-based method.
+	run, err := core.ClusterExpand(context.Background(), core.ClusterInput{
+		Index: d.Index, Query: q, Results: results,
+		Cluster: cluster.Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 5},
 	})
+	if err != nil {
+		panic(err)
+	}
+	cl, universe, weights := run.Clustering, run.Universe.Set, run.Universe.Weights
 	sets := cl.Sets()
-	problems := core.BuildProblems(d.Index, q, cl, weights, core.DefaultPoolOptions())
 
 	show := func(name string, queries []search.Query, scored bool) {
 		fmt.Printf("%-12s", name)
@@ -54,7 +56,7 @@ func main() {
 
 	// Cluster-based approaches.
 	for _, ex := range []core.Expander{&core.ISKR{}, &core.PEBC{Seed: 5}, &core.FMeasureVariant{}} {
-		res := core.Solve(ex, problems)
+		res := core.Solve(ex, run.Problems)
 		fmt.Printf("%-12s (Eq.1 %.2f)\n", ex.Name(), res.Score)
 		for i, ce := range res.Expansions {
 			fmt.Printf("  q%d: %q  F=%.2f\n", i+1,

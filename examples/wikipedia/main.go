@@ -5,13 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/eval"
 	"repro/internal/search"
 )
 
@@ -22,17 +22,18 @@ func main() {
 
 	// Paper setup: only the top 30 results are considered.
 	results := eng.Search(q, search.And, 30)
-	universe := search.ResultSet(results)
-	weights := eval.Weights{}
-	for _, r := range results {
-		weights[r.Doc] = r.Score
-	}
 	fmt.Printf("QW6 'java': top %d of %d docs\n", len(results), d.Corpus.Len())
 
-	cl := cluster.KMeans(d.Index, universe.IDs(), cluster.Options{
-		K: 3, Seed: 7, PlusPlus: true, Restarts: 5,
+	// The paper's pipeline without a solver: cluster the results and build
+	// one problem per cluster, then solve the same problems three ways.
+	run, err := core.ClusterExpand(context.Background(), core.ClusterInput{
+		Index: d.Index, Query: q, Results: results,
+		Cluster: cluster.Options{K: 3, Seed: 7, PlusPlus: true, Restarts: 5},
 	})
-	for i, ids := range cl.Clusters {
+	if err != nil {
+		panic(err)
+	}
+	for i, ids := range run.Clustering.Clusters {
 		senses := map[string]int{}
 		for _, id := range ids {
 			senses[d.Labels[id]]++
@@ -40,13 +41,12 @@ func main() {
 		fmt.Printf("  cluster %d (%d docs): %v\n", i, len(ids), senses)
 	}
 
-	problems := core.BuildProblems(d.Index, q, cl, weights, core.DefaultPoolOptions())
 	for _, ex := range []core.Expander{
 		&core.ISKR{},
 		&core.PEBC{Seed: 7},
 		&core.FMeasureVariant{},
 	} {
-		res := core.Solve(ex, problems)
+		res := core.Solve(ex, run.Problems)
 		fmt.Printf("\n%s (Eq.1 score %.2f):\n", ex.Name(), res.Score)
 		for i, ce := range res.Expansions {
 			fmt.Printf("  q%d: %-32q F=%.2f\n", i+1,

@@ -96,7 +96,7 @@ func TestDataCloudsExcludesQueryTerms(t *testing.T) {
 
 func TestCSLabelsAreClusterSpecific(t *testing.T) {
 	idx, _, ids := fixture(t)
-	cl := cluster.KMeans(idx, ids, cluster.Options{K: 2, Seed: 1, PlusPlus: true})
+	cl := kmeans(idx, ids, cluster.Options{K: 2, Seed: 1, PlusPlus: true})
 	if cl.K() != 2 {
 		t.Skip("k-means did not produce 2 clusters on fixture")
 	}
@@ -121,7 +121,7 @@ func TestCSLabelsAreClusterSpecific(t *testing.T) {
 
 func TestCSSuggestOnePerCluster(t *testing.T) {
 	idx, _, ids := fixture(t)
-	cl := cluster.KMeans(idx, ids, cluster.Options{K: 2, Seed: 1, PlusPlus: true})
+	cl := kmeans(idx, ids, cluster.Options{K: 2, Seed: 1, PlusPlus: true})
 	cs := &CS{LabelSize: 2}
 	queries := cs.Suggest(idx, cl, search.NewQuery("apple"))
 	if len(queries) != cl.K() {
@@ -235,4 +235,14 @@ func TestResultWeights(t *testing.T) {
 	if w[1] != 2.5 || w[2] != 1 || len(w) != 2 {
 		t.Errorf("resultWeights = %v", w)
 	}
+}
+
+// kmeans clusters documents of idx through cluster.KMeansVecs over their
+// corpus-global TF vectors.
+func kmeans(idx *index.Index, docs []document.DocID, opts cluster.Options) *cluster.Clustering {
+	vecs := make([]*cluster.Vector, len(docs))
+	for i, id := range docs {
+		vecs[i] = cluster.VectorFromDocGlobal(idx, id)
+	}
+	return cluster.KMeansVecs(idx.NumTerms(), vecs, docs, opts)
 }

@@ -119,7 +119,7 @@ func BenchmarkKMeansFull(b *testing.B) {
 	idx, ids := benchCorpus(30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KMeans(idx, ids, Options{K: 3, Seed: 1, PlusPlus: true, Restarts: 5})
+		kmeans(idx, ids, Options{K: 3, Seed: 1, PlusPlus: true, Restarts: 5})
 	}
 }
 
@@ -130,7 +130,7 @@ func BenchmarkKMeansServingMode(b *testing.B) {
 	idx, ids := benchCorpus(30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KMeans(idx, ids, Options{K: 3, Seed: 1, PlusPlus: true, Restarts: 5,
+		kmeans(idx, ids, Options{K: 3, Seed: 1, PlusPlus: true, Restarts: 5,
 			Quality: QualityServing})
 	}
 }

@@ -28,9 +28,9 @@ func TestTierBitIdentityPerBudgetPair(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 20)
 	base := Options{K: 3, Seed: 11, PlusPlus: true, Restarts: 5}
 	for tier, opts := range tierOptions(base) {
-		first := KMeans(idx, ids, opts)
+		first := kmeans(idx, ids, opts)
 		for run := 0; run < 3; run++ {
-			again := KMeans(idx, ids, opts)
+			again := kmeans(idx, ids, opts)
 			if math.Float64bits(again.Distortion) != math.Float64bits(first.Distortion) {
 				t.Errorf("%s run %d: distortion %x, want %x", tier, run,
 					math.Float64bits(again.Distortion), math.Float64bits(first.Distortion))
@@ -62,7 +62,7 @@ func TestRestartBudgetCapsAfterQuality(t *testing.T) {
 		{QualityServing, 9, 2}, // budget can never raise the count
 	}
 	for _, tc := range cases {
-		cl := KMeans(idx, ids, Options{
+		cl := kmeans(idx, ids, Options{
 			K: 2, Seed: 5, PlusPlus: true, Restarts: 5,
 			Quality: tc.quality, RestartBudget: tc.budget,
 		})
@@ -84,7 +84,7 @@ func TestBudgetOneMatchesSingleRestart(t *testing.T) {
 	budgeted.AggressiveAbandon = true // moot with one restart, set anyway (T2)
 	single := base
 	single.Restarts = 1
-	a, b := KMeans(idx, ids, budgeted), KMeans(idx, ids, single)
+	a, b := kmeans(idx, ids, budgeted), kmeans(idx, ids, single)
 	if math.Float64bits(a.Distortion) != math.Float64bits(b.Distortion) {
 		t.Errorf("distortion %v vs %v", a.Distortion, b.Distortion)
 	}
@@ -102,9 +102,9 @@ func TestAggressiveAbandonIsDeterministic(t *testing.T) {
 		K: 4, Seed: 3, PlusPlus: true, Restarts: 5,
 		Quality: QualityServing, AggressiveAbandon: true,
 	}
-	first := KMeans(idx, ids, opts)
+	first := kmeans(idx, ids, opts)
 	for run := 0; run < 3; run++ {
-		again := KMeans(idx, ids, opts)
+		again := kmeans(idx, ids, opts)
 		if again.AbandonedRestarts != first.AbandonedRestarts ||
 			fmt.Sprint(again.Clusters) != fmt.Sprint(first.Clusters) {
 			t.Fatalf("run %d: aggressive abandonment nondeterministic", run)
@@ -113,7 +113,7 @@ func TestAggressiveAbandonIsDeterministic(t *testing.T) {
 	exact := Options{K: 4, Seed: 3, PlusPlus: true, Restarts: 5, AggressiveAbandon: true}
 	plain := exact
 	plain.AggressiveAbandon = false
-	a, b := KMeans(idx, ids, exact), KMeans(idx, ids, plain)
+	a, b := kmeans(idx, ids, exact), kmeans(idx, ids, plain)
 	if math.Float64bits(a.Distortion) != math.Float64bits(b.Distortion) {
 		t.Error("AggressiveAbandon changed a QualityExact run")
 	}
@@ -126,14 +126,14 @@ func TestContextCancellationStopsDrive(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 30)
 	base := Options{K: 3, Seed: 7, PlusPlus: true, Restarts: 4}
 
-	full := KMeans(idx, ids, base)
+	full := kmeans(idx, ids, base)
 	if full.TotalIterations == 0 {
 		t.Fatal("full run did no iterations")
 	}
 
 	live := base
 	live.Ctx = context.Background()
-	withCtx := KMeans(idx, ids, live)
+	withCtx := kmeans(idx, ids, live)
 	if math.Float64bits(withCtx.Distortion) != math.Float64bits(full.Distortion) ||
 		withCtx.TotalIterations != full.TotalIterations {
 		t.Error("a live context changed the clustering")
@@ -143,7 +143,7 @@ func TestContextCancellationStopsDrive(t *testing.T) {
 	cancel() // cancelled before the first round
 	dead := base
 	dead.Ctx = ctx
-	stopped := KMeans(idx, ids, dead)
+	stopped := kmeans(idx, ids, dead)
 	if stopped.TotalIterations != 0 {
 		t.Errorf("cancelled drive ran %d iterations, want 0", stopped.TotalIterations)
 	}

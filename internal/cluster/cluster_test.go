@@ -213,6 +213,21 @@ func TestCosineMatchesMapReference(t *testing.T) {
 	}
 }
 
+// docVectors builds the documents' TF vectors over the corpus-global TermID
+// space — the input KMeansVecs and Silhouette take.
+func docVectors(idx *index.Index, docs []document.DocID) []*Vector {
+	vecs := make([]*Vector, len(docs))
+	for i, id := range docs {
+		vecs[i] = VectorFromDocGlobal(idx, id)
+	}
+	return vecs
+}
+
+// kmeans clusters documents of idx through KMeansVecs.
+func kmeans(idx *index.Index, docs []document.DocID, opts Options) *Clustering {
+	return KMeansVecs(idx.NumTerms(), docVectors(idx, docs), docs, opts)
+}
+
 // twoTopicIndex builds a corpus with two clearly separated vocabularies.
 func twoTopicIndex(t *testing.T, perTopic int) (*index.Index, []document.DocID, map[document.DocID]string) {
 	t.Helper()
@@ -266,7 +281,7 @@ func TestVectorFromDocMatchesIndex(t *testing.T) {
 
 func TestKMeansSeparatesTopics(t *testing.T) {
 	idx, ids, labels := twoTopicIndex(t, 15)
-	cl := KMeans(idx, ids, Options{K: 2, Seed: 1, PlusPlus: true})
+	cl := kmeans(idx, ids, Options{K: 2, Seed: 1, PlusPlus: true})
 	if cl.K() != 2 {
 		t.Fatalf("K = %d, want 2", cl.K())
 	}
@@ -277,8 +292,8 @@ func TestKMeansSeparatesTopics(t *testing.T) {
 
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 10)
-	a := KMeans(idx, ids, Options{K: 3, Seed: 42})
-	b := KMeans(idx, ids, Options{K: 3, Seed: 42})
+	a := kmeans(idx, ids, Options{K: 3, Seed: 42})
+	b := kmeans(idx, ids, Options{K: 3, Seed: 42})
 	if a.K() != b.K() {
 		t.Fatalf("nondeterministic K: %d vs %d", a.K(), b.K())
 	}
@@ -337,19 +352,19 @@ func TestKMeansSerialVsConcurrentIdentical(t *testing.T) {
 	opts := Options{K: 4, Seed: 9, PlusPlus: true, Restarts: 6}
 	run := func(workers int) *Clustering {
 		defer par.SetWorkersForTest(workers)()
-		return KMeans(idx, ids, opts)
+		return kmeans(idx, ids, opts)
 	}
 	serial := run(1)
 	for _, w := range []int{2, 3, 8} {
 		sameClustering(t, "workers="+strconv.Itoa(w), serial, run(w))
 	}
 	// And the default worker count (whatever GOMAXPROCS is here).
-	sameClustering(t, "workers=default", serial, KMeans(idx, ids, opts))
+	sameClustering(t, "workers=default", serial, kmeans(idx, ids, opts))
 }
 
 func TestKMeansPartitionInvariants(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 12)
-	cl := KMeans(idx, ids, Options{K: 4, Seed: 5, PlusPlus: true})
+	cl := kmeans(idx, ids, Options{K: 4, Seed: 5, PlusPlus: true})
 	seen := document.NewDocSet()
 	for ord, cluster := range cl.Clusters {
 		if len(cluster) == 0 {
@@ -372,7 +387,7 @@ func TestKMeansPartitionInvariants(t *testing.T) {
 
 func TestKMeansKGreaterThanN(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 2) // 4 docs
-	cl := KMeans(idx, ids, Options{K: 10, Seed: 1})
+	cl := kmeans(idx, ids, Options{K: 10, Seed: 1})
 	if cl.K() > 4 {
 		t.Errorf("K = %d with only 4 docs", cl.K())
 	}
@@ -380,7 +395,7 @@ func TestKMeansKGreaterThanN(t *testing.T) {
 
 func TestKMeansEmptyInput(t *testing.T) {
 	idx, _, _ := twoTopicIndex(t, 2)
-	cl := KMeans(idx, nil, Options{K: 3})
+	cl := kmeans(idx, nil, Options{K: 3})
 	if cl.K() != 0 {
 		t.Errorf("K = %d, want 0", cl.K())
 	}
@@ -388,7 +403,7 @@ func TestKMeansEmptyInput(t *testing.T) {
 
 func TestKMeansSingleDoc(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 1)
-	cl := KMeans(idx, ids[:1], Options{K: 3, Seed: 1})
+	cl := kmeans(idx, ids[:1], Options{K: 3, Seed: 1})
 	if cl.K() != 1 || len(cl.Clusters[0]) != 1 {
 		t.Errorf("K = %d", cl.K())
 	}
@@ -396,7 +411,7 @@ func TestKMeansSingleDoc(t *testing.T) {
 
 func TestClusteringSets(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 5)
-	cl := KMeans(idx, ids, Options{K: 2, Seed: 9})
+	cl := kmeans(idx, ids, Options{K: 2, Seed: 9})
 	sets := cl.Sets()
 	if len(sets) != cl.K() {
 		t.Fatalf("Sets len = %d", len(sets))
@@ -465,14 +480,15 @@ func TestPurityPerfectAndWorst(t *testing.T) {
 
 func TestSilhouetteSeparatedHigherThanRandom(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 10)
-	good := KMeans(idx, ids, Options{K: 2, Seed: 1, PlusPlus: true})
-	s := Silhouette(idx, good)
+	good := kmeans(idx, ids, Options{K: 2, Seed: 1, PlusPlus: true})
+	vecs := docVectors(idx, ids)
+	s := Silhouette(vecs, ids, good)
 	if s <= 0.1 {
 		t.Errorf("silhouette of separated clustering = %v, want > 0.1", s)
 	}
 	// Single cluster: silhouette defined as 0.
 	one := Agglomerative(idx, ids, 1, AverageLinkage)
-	if got := Silhouette(idx, one); got != 0 {
+	if got := Silhouette(vecs, ids, one); got != 0 {
 		t.Errorf("silhouette with k=1 = %v, want 0", got)
 	}
 }
@@ -504,7 +520,7 @@ func TestCosinePropertyBounds(t *testing.T) {
 func TestKMeansPropertyTotalAssignment(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 8)
 	for seed := int64(0); seed < 10; seed++ {
-		cl := KMeans(idx, ids, Options{K: 3, Seed: seed, PlusPlus: seed%2 == 0})
+		cl := kmeans(idx, ids, Options{K: 3, Seed: seed, PlusPlus: seed%2 == 0})
 		if len(cl.Assign) != len(ids) {
 			t.Fatalf("seed %d: assigned %d of %d", seed, len(cl.Assign), len(ids))
 		}
@@ -516,14 +532,14 @@ func TestKMeansPropertyTotalAssignment(t *testing.T) {
 
 func TestKMeansRestartsPickLowestDistortion(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 12)
-	single := KMeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true})
-	multi := KMeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 8})
+	single := kmeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true})
+	multi := kmeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 8})
 	if multi.Distortion > single.Distortion+1e-9 {
 		t.Errorf("restarts distortion %v above single run %v",
 			multi.Distortion, single.Distortion)
 	}
 	// Restarted runs remain deterministic.
-	again := KMeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 8})
+	again := kmeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 8})
 	if again.Distortion != multi.Distortion || again.K() != multi.K() {
 		t.Error("restarted k-means not deterministic")
 	}

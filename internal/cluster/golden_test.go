@@ -56,7 +56,7 @@ func (g *goldenCase) run(t *testing.T) *Clustering {
 	if g.Linkage >= 0 {
 		return Agglomerative(idx, ids, g.K, Linkage(g.Linkage))
 	}
-	return KMeans(idx, ids, Options{
+	return kmeans(idx, ids, Options{
 		K: g.K, Seed: g.Seed, PlusPlus: g.PlusPlus, Restarts: g.Restarts,
 	})
 }
@@ -79,7 +79,7 @@ func TestQualityExactStillMatchesGolden(t *testing.T) {
 			continue // agglomerative has no quality knob
 		}
 		idx, ids, _ := twoTopicIndex(t, w.PerTopic)
-		cl := KMeans(idx, ids, Options{
+		cl := kmeans(idx, ids, Options{
 			K: w.K, Seed: w.Seed, PlusPlus: w.PlusPlus, Restarts: w.Restarts,
 			Quality: QualityExact,
 		})

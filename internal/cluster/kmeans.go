@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/document"
-	"repro/internal/index"
 	"repro/internal/par"
 	"repro/internal/termdict"
 )
@@ -162,35 +161,24 @@ func (o *Options) defaults() {
 	}
 }
 
-// KMeans clusters the given documents' TF vectors by cosine distance.
+// KMeansVecs clusters documents by the cosine distance of their TF vectors:
+// vecs[i] is the vector of docs[i] over a dim-sized TermID space (what
+// VectorFromDocGlobal builds; the expansion pipeline takes them from its
+// universe snapshot, which shares them with problem construction). The
+// vectors are treated as read-only. Empty input yields an empty clustering.
+//
 // Deterministic for a fixed seed regardless of worker count: per-point work
 // is data-parallel, every floating-point reduction (distortion, the D²
 // total) is accumulated serially in index order after the parallel phase,
 // and restarts advance in lockstep rounds so early-abandon decisions never
-// depend on goroutine scheduling. Empty input yields an empty clustering.
+// depend on goroutine scheduling.
 //
-// Points come straight off the index's corpus-global TermID arenas; centroids
-// are dense []float64 over the vocabulary (see centroid), so every
+// Centroids are dense []float64 over the vocabulary (see centroid), so every
 // point·centroid distance is a branch-free gather over the point's IDs. In
 // QualityExact mode the output is bit-identical to the sparse merge-join
 // implementation (pinned by the kmeans golden file); QualityServing trades a
 // deterministic accuracy delta for latency (fewer restarts, bound-pruned
 // assignment).
-func KMeans(idx *index.Index, docs []document.DocID, opts Options) *Clustering {
-	vecs := make([]*Vector, len(docs))
-	for i, id := range docs {
-		vecs[i] = VectorFromDocGlobal(idx, id)
-	}
-	return KMeansVecs(idx.NumTerms(), vecs, docs, opts)
-}
-
-// KMeansVecs is KMeans over pre-built document vectors: vecs[i] is the
-// TF vector of docs[i] over a dim-sized TermID space (what
-// VectorFromDocGlobal builds). Callers that already hold a resolved
-// universe snapshot — the engine's expansion pipeline shares one between
-// clustering and problem construction — use this to skip the per-document
-// arena walk. The vectors are treated as read-only; output is bit-identical
-// to KMeans over the same documents.
 func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *Clustering {
 	opts.defaults()
 	n := len(docs)

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"repro/internal/document"
-	"repro/internal/index"
-)
+import "repro/internal/document"
 
 // Purity measures agreement between a clustering and ground-truth labels:
 // the fraction of documents assigned to the majority label of their cluster.
@@ -33,9 +30,10 @@ func Purity(c *Clustering, labels map[document.DocID]string) float64 {
 }
 
 // Silhouette returns the mean silhouette coefficient of the clustering under
-// cosine distance, in [-1, 1]; higher is better separated. Documents in
-// singleton clusters contribute 0.
-func Silhouette(idx *index.Index, c *Clustering) float64 {
+// cosine distance, in [-1, 1]; higher is better separated. vecs[i] is the
+// vector of docs[i] (the input KMeansVecs took), and the clustering must
+// cover only those documents. Documents in singleton clusters contribute 0.
+func Silhouette(vecs []*Vector, docs []document.DocID, c *Clustering) float64 {
 	var all []document.DocID
 	for _, ids := range c.Clusters {
 		all = append(all, ids...)
@@ -43,11 +41,9 @@ func Silhouette(idx *index.Index, c *Clustering) float64 {
 	if len(all) < 2 || c.K() < 2 {
 		return 0
 	}
-	// Corpus-global TermID vectors: same distances as the per-run Dict this
-	// used to intern (both ID orders are lexicographic), no string work.
-	vecs := make(map[document.DocID]*Vector, len(all))
-	for _, id := range all {
-		vecs[id] = VectorFromDocGlobal(idx, id)
+	vec := make(map[document.DocID]*Vector, len(docs))
+	for i, id := range docs {
+		vec[id] = vecs[i]
 	}
 	meanDist := func(id document.DocID, ids []document.DocID) float64 {
 		total, n := 0.0, 0
@@ -55,7 +51,7 @@ func Silhouette(idx *index.Index, c *Clustering) float64 {
 			if other == id {
 				continue
 			}
-			total += vecs[id].CosineDistance(vecs[other])
+			total += vec[id].CosineDistance(vec[other])
 			n++
 		}
 		if n == 0 {

@@ -97,13 +97,13 @@ func TestQualityModesDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	idx, ids := randomCorpus(7, 120)
 	for _, q := range []Quality{QualityExact, QualityServing} {
 		opts := Options{K: 4, Seed: 11, PlusPlus: true, Restarts: 5, Quality: q}
-		ref := KMeans(idx, ids, opts)
+		ref := kmeans(idx, ids, opts)
 		for run := 0; run < 3; run++ {
-			sameClustering(t, q.String()+" rerun", ref, KMeans(idx, ids, opts))
+			sameClustering(t, q.String()+" rerun", ref, kmeans(idx, ids, opts))
 		}
 		for _, w := range []int{1, 2, 5} {
 			restore := par.SetWorkersForTest(w)
-			cl := KMeans(idx, ids, opts)
+			cl := kmeans(idx, ids, opts)
 			restore()
 			sameClustering(t, q.String()+" workers="+strconv.Itoa(w), ref, cl)
 		}
@@ -114,7 +114,7 @@ func TestQualityModesDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // the mode still returns a valid partition of the input.
 func TestServingModeFewerRestartsAndConverges(t *testing.T) {
 	idx, ids := randomCorpus(3, 90)
-	cl := KMeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 5,
+	cl := kmeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 5,
 		Quality: QualityServing})
 	if len(cl.Assign) != len(ids) {
 		t.Fatalf("assigned %d of %d", len(cl.Assign), len(ids))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -308,9 +309,9 @@ func TestSolveAggregatesEq1(t *testing.T) {
 	}
 }
 
-func TestBuildProblemsPartition(t *testing.T) {
-	// Index a tiny corpus, cluster it, and check the problems partition the
-	// universe correctly.
+func TestClusterExpandPartition(t *testing.T) {
+	// Index a tiny corpus, run the pipeline over its results, and check the
+	// problems partition the universe correctly.
 	corpus := document.NewCorpus()
 	texts := []string{
 		"apple fruit orchard juice", "apple fruit tree harvest",
@@ -322,9 +323,18 @@ func TestBuildProblemsPartition(t *testing.T) {
 		ids = append(ids, corpus.AddText("", txt))
 	}
 	idx := index.Build(corpus, analysis.Simple())
-	cl := cluster.KMeans(idx, ids, cluster.Options{K: 2, Seed: 1, PlusPlus: true})
-	problems := BuildProblems(idx, search.NewQuery("apple"), cl,
-		nil, DefaultPoolOptions())
+	q := search.NewQuery("apple")
+	run, err := ClusterExpand(context.Background(), ClusterInput{
+		Index: idx, Query: q, Results: search.NewEngine(idx).Search(q, search.And, 0),
+		Unweighted: true, Cluster: cluster.Options{K: 2, Seed: 1, PlusPlus: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, problems := run.Clustering, run.Problems
+	if run.Result != nil {
+		t.Error("no Solver, yet a result was returned")
+	}
 	if len(problems) != cl.K() {
 		t.Fatalf("built %d problems for %d clusters", len(problems), cl.K())
 	}
@@ -360,15 +370,15 @@ func TestNewProblemPoolRespectsBounds(t *testing.T) {
 		ids = append(ids, corpus.AddText("", text))
 	}
 	idx := index.Build(corpus, analysis.Simple())
-	c := document.NewDocSet(ids[:15]...)
-	u := document.NewDocSet(ids[15:]...)
-	p := NewProblem(idx, search.NewQuery("seed"), c, u, nil,
-		PoolOptions{TopFraction: 0.2, MinKeywords: 2, MaxKeywords: 5})
+	sets := []document.DocSet{document.NewDocSet(ids[:15]...), document.NewDocSet(ids[15:]...)}
+	q := search.NewQuery("seed")
+	p := NewUniverse(idx, q, ids, nil,
+		PoolOptions{TopFraction: 0.2, MinKeywords: 2, MaxKeywords: 5}).Problems(sets)[0]
 	if len(p.Pool) > 5 {
 		t.Errorf("pool %d exceeds max 5", len(p.Pool))
 	}
-	p2 := NewProblem(idx, search.NewQuery("seed"), c, u, nil,
-		PoolOptions{TopFraction: 0.01, MinKeywords: 7})
+	p2 := NewUniverse(idx, q, ids, nil,
+		PoolOptions{TopFraction: 0.01, MinKeywords: 7}).Problems(sets)[0]
 	if len(p2.Pool) < 7 {
 		t.Errorf("pool %d below floor 7", len(p2.Pool))
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/search"
 )
@@ -52,14 +53,115 @@ func (r *QECResult) TotalEvaluations() int {
 	return n
 }
 
-// BuildProblems constructs one Definition 2.2 problem per cluster from a
-// clustering of the user query's results. Since maximizing Eq. 1 decomposes
-// into maximizing each query's F-measure independently (Section 2), solving
-// the problems independently solves QEC.
-func BuildProblems(idx *index.Index, userQuery search.Query, cl *cluster.Clustering,
-	weights eval.Weights, opts PoolOptions) []*Problem {
+// ClusterInput is one run of the paper's pipeline (§2) over the ranked
+// results of one user query.
+type ClusterInput struct {
+	Index *index.Index
+	// Query is the parsed user query the results were retrieved for.
+	Query search.Query
+	// Results are the ranked results. Their scores are the ranking weights
+	// of every problem unless Unweighted is set.
+	Results    []search.Result
+	Unweighted bool
+	// Cluster configures k-means at the user's granularity (Cluster.K). Its
+	// Ctx is replaced by ClusterExpand's ctx.
+	Cluster cluster.Options
+	// Solver solves each problem (ISKR, PEBC, ...). nil stops after the
+	// problems are built.
+	Solver Expander
+	// Interleave, when positive, solves by alternating expansion and
+	// re-assignment for at most this many rounds (see Interleave). The
+	// rounds build their own problems, so ClusterRun.Problems stays nil.
+	Interleave int
+	// Trace, when non-nil, receives the problem, cluster and solve spans and
+	// the k-means bookkeeping.
+	Trace *obs.Trace
+	// Explain attaches a decision Trail to every problem before the solve.
+	Explain bool
+}
 
-	return problemsFromSets(idx, userQuery, cl.Sets(), weights, opts)
+// ClusterRun is what one ClusterExpand resolved: the shared universe
+// snapshot, the k-means clustering, one Definition 2.2 problem per cluster
+// and the solved QEC instance (nil without a Solver).
+type ClusterRun struct {
+	Universe   *Universe
+	Clustering *cluster.Clustering
+	Problems   []*Problem
+	Result     *QECResult
+}
+
+// ClusterExpand runs the paper's pipeline over one ranked result set: it
+// clusters the results, builds one Definition 2.2 problem per cluster, and
+// solves each with the Solver, scoring the set by Eq. 1. Since maximizing
+// Eq. 1 decomposes into maximizing each query's F-measure independently
+// (Section 2), solving the problems independently solves QEC. One resolved
+// Universe serves the whole run: clustering reads its document vectors and
+// every problem shares its candidate pool and keyword incidence.
+//
+// ctx cancels the k-means rounds, the per-cluster solves and the interleave
+// rounds; a cancelled run returns ctx.Err() and never a partial result. The
+// spans only read the clock, so traced and untraced runs are bit-identical,
+// as are runs with and without Explain (see Trail).
+func ClusterExpand(ctx context.Context, in ClusterInput) (ClusterRun, error) {
+	tr := in.Trace
+	tr.Begin(obs.StageProblem)
+	var weights eval.Weights
+	if !in.Unweighted {
+		weights = eval.Weights{}
+		for _, r := range in.Results {
+			weights[r.Doc] = r.Score
+		}
+	}
+	u := NewUniverse(in.Index, in.Query, search.ResultIDs(in.Results), weights,
+		DefaultPoolOptions())
+	tr.End(obs.StageProblem)
+
+	copts := in.Cluster
+	copts.Ctx = ctx
+	tr.Begin(obs.StageCluster)
+	cl := cluster.KMeansVecs(in.Index.NumTerms(), u.Vectors(), u.Docs(), copts)
+	tr.End(obs.StageCluster)
+	tr.SetKMeans(cl.Restarts, cl.TotalIterations, cl.AbandonedRestarts)
+	// A cancelled drive returned a partial clustering; discard it.
+	if err := ctx.Err(); err != nil {
+		return ClusterRun{}, err
+	}
+	run := ClusterRun{Universe: u, Clustering: cl}
+
+	if in.Solver != nil && in.Interleave > 0 {
+		// The interleaved rounds are accounted wholly to the solve stage.
+		tr.Begin(obs.StageSolve)
+		it := Interleave{Expander: in.Solver, MaxRounds: in.Interleave}
+		ir, err := it.Run(ctx, u, cl)
+		tr.End(obs.StageSolve)
+		if err != nil {
+			return ClusterRun{}, err
+		}
+		run.Result = ir.Result
+		return run, nil
+	}
+
+	// Problem construction continues the "problem" span started for the
+	// universe; End accumulates across the two intervals.
+	tr.Begin(obs.StageProblem)
+	run.Problems = u.Problems(cl.Sets())
+	tr.End(obs.StageProblem)
+	if in.Explain {
+		for _, p := range run.Problems {
+			p.Trail = &Trail{}
+		}
+	}
+	if in.Solver == nil {
+		return run, nil
+	}
+	tr.Begin(obs.StageSolve)
+	res, err := SolveCtx(ctx, in.Solver, run.Problems)
+	tr.End(obs.StageSolve)
+	if err != nil {
+		return ClusterRun{}, err
+	}
+	run.Result = res
+	return run, nil
 }
 
 // Solve runs the expander over every cluster and assembles the QEC result.

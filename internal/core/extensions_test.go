@@ -1,10 +1,12 @@
 package core
 
 // Tests for the paper-adjacent extensions: OR semantics (the paper's
-// appendix problem), interleaved clustering+expansion and dynamic
-// clustering selection (both named in Section 7's future work).
+// appendix problem) and interleaved clustering+expansion (named in Section
+// 7's future work).
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -118,11 +120,20 @@ func interleaveFixture(t *testing.T) (*index.Index, search.Query, *cluster.Clust
 	return idx, search.NewQuery("apple"), bad, ids
 }
 
+// interleaveUniverse resolves the fixture's universe snapshot, unweighted.
+func interleaveUniverse(idx *index.Index, q search.Query, ids []document.DocID) *Universe {
+	return NewUniverse(idx, q, ids, nil, DefaultPoolOptions())
+}
+
 func TestInterleaveImprovesBadClustering(t *testing.T) {
-	idx, q, bad, _ := interleaveFixture(t)
-	baseline := Solve(&ISKR{}, BuildProblems(idx, q, bad, nil, DefaultPoolOptions()))
+	idx, q, bad, ids := interleaveFixture(t)
+	u := interleaveUniverse(idx, q, ids)
+	baseline := Solve(&ISKR{}, u.Problems(bad.Sets()))
 	it := &Interleave{}
-	res := it.Run(idx, q, bad, nil)
+	res, err := it.Run(context.Background(), u, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Result.Score < baseline.Score {
 		t.Errorf("interleaving worsened the score: %v -> %v",
 			baseline.Score, res.Result.Score)
@@ -139,7 +150,11 @@ func TestInterleaveImprovesBadClustering(t *testing.T) {
 
 func TestInterleaveClustersPartitionUniverse(t *testing.T) {
 	idx, q, bad, ids := interleaveFixture(t)
-	res := (&Interleave{MaxRounds: 3}).Run(idx, q, bad, nil)
+	res, err := (&Interleave{MaxRounds: 3}).Run(context.Background(),
+		interleaveUniverse(idx, q, ids), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := document.DocSet{}
 	for _, s := range res.Clusters {
 		for id := range s {
@@ -154,32 +169,47 @@ func TestInterleaveClustersPartitionUniverse(t *testing.T) {
 	}
 }
 
-func TestSelectClusteringPicksBest(t *testing.T) {
-	idx, q, _, ids := interleaveFixture(t)
-	cands := DefaultClusteringCandidates(idx, ids, 2, 3)
-	best, res := SelectClustering(idx, q, cands, nil, DefaultPoolOptions(), nil)
-	if res == nil || best.Clustering == nil {
-		t.Fatal("no selection made")
-	}
-	// Whatever wins must be at least as good as every candidate.
-	for _, cand := range cands {
-		r := Solve(&ISKR{}, BuildProblems(idx, q, cand.Clustering, nil, DefaultPoolOptions()))
-		if r.Score > res.Score+1e-9 {
-			t.Errorf("candidate %s scores %v above selected %v", cand.Name, r.Score, res.Score)
-		}
-	}
+// cancellingExpander cancels its context on the first Expand and counts
+// every call.
+type cancellingExpander struct {
+	cancel context.CancelFunc
+	calls  atomic.Int32
 }
 
-func TestSelectClusteringSkipsEmpty(t *testing.T) {
-	idx, q, _, ids := interleaveFixture(t)
-	cands := []ClusteringCandidate{
-		{Name: "empty", Clustering: &cluster.Clustering{}},
-		{Name: "real", Clustering: cluster.KMeans(idx, ids,
-			cluster.Options{K: 2, Seed: 1, PlusPlus: true})},
+func (c *cancellingExpander) Name() string { return "cancelling" }
+
+func (c *cancellingExpander) Expand(p *Problem) Expanded {
+	c.calls.Add(1)
+	c.cancel()
+	return (&ISKR{}).Expand(p)
+}
+
+func TestInterleaveHonoursContext(t *testing.T) {
+	idx, q, bad, ids := interleaveFixture(t)
+	u := interleaveUniverse(idx, q, ids)
+
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	ex := &cancellingExpander{cancel: cancel}
+	res, err := (&Interleave{Expander: ex, MaxRounds: 5}).Run(dead, u, bad)
+	if err != context.Canceled || res != nil {
+		t.Fatalf("pre-cancelled Run = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
-	best, res := SelectClustering(idx, q, cands, nil, DefaultPoolOptions(), nil)
-	if best.Name != "real" || res == nil {
-		t.Errorf("selected %q", best.Name)
+	if n := ex.calls.Load(); n != 0 {
+		t.Errorf("pre-cancelled Run solved %d clusters, want 0", n)
+	}
+
+	// Cancelled mid-round: the first solve cancels, so the round never
+	// finishes and no second round starts.
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ex = &cancellingExpander{cancel: cancel}
+	res, err = (&Interleave{Expander: ex, MaxRounds: 5}).Run(live, u, bad)
+	if err != context.Canceled || res != nil {
+		t.Fatalf("Run cancelled mid-round = (%v, %v), want (nil, context.Canceled)", res, err)
+	}
+	if n, k := int(ex.calls.Load()), bad.K(); n > k {
+		t.Errorf("cancelled Run solved %d clusters, more than one round of %d", n, k)
 	}
 }
 

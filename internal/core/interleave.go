@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/cluster"
 	"repro/internal/document"
-	"repro/internal/eval"
-	"repro/internal/index"
-	"repro/internal/search"
 )
 
 // Interleave implements the paper's Section 7 future-work direction of
@@ -21,15 +20,6 @@ type Interleave struct {
 	Expander Expander
 	// MaxRounds bounds the alternation (0 means 5).
 	MaxRounds int
-	// PoolOptions configures candidate keywords for each round's problems.
-	// Ignored when Universe is set (the snapshot bakes its own options in).
-	PoolOptions PoolOptions
-	// Universe optionally supplies the request's resolved universe snapshot.
-	// The engine sets it so the interleaved rounds reuse the pool and
-	// incidence already computed for clustering; nil builds one from the
-	// initial clustering's sets. The clustering must cover exactly the
-	// snapshot's documents.
-	Universe *Universe
 }
 
 // InterleaveResult is the converged outcome.
@@ -39,10 +29,12 @@ type InterleaveResult struct {
 	Rounds   int
 }
 
-// Run alternates expansion and re-assignment starting from cl.
-func (it *Interleave) Run(idx *index.Index, userQuery search.Query,
-	cl *cluster.Clustering, weights eval.Weights) *InterleaveResult {
-
+// Run alternates expansion and re-assignment starting from cl, whose
+// clusters must partition u's documents. Re-assignment moves results between
+// clusters but never in or out of the universe, so u serves every round's
+// problems. ctx is checked before every per-cluster solve: a cancelled Run
+// returns (nil, ctx.Err()) without finishing its round.
+func (it *Interleave) Run(ctx context.Context, u *Universe, cl *cluster.Clustering) (*InterleaveResult, error) {
 	ex := it.Expander
 	if ex == nil {
 		ex = &ISKR{}
@@ -51,22 +43,7 @@ func (it *Interleave) Run(idx *index.Index, userQuery search.Query,
 	if maxRounds <= 0 {
 		maxRounds = 5
 	}
-	opts := it.PoolOptions
-	if opts.TopFraction == 0 {
-		opts = DefaultPoolOptions()
-	}
-
 	sets := cl.Sets()
-	// Re-assignment moves results between clusters but never in or out of
-	// the universe, so one snapshot serves every round's problems.
-	u := it.Universe
-	if u == nil {
-		all := document.DocSet{}
-		for _, s := range sets {
-			all = all.Union(s)
-		}
-		u = NewUniverse(idx, userQuery, all.IDs(), weights, opts)
-	}
 	universe := u.Set
 
 	var best *QECResult
@@ -75,7 +52,10 @@ func (it *Interleave) Run(idx *index.Index, userQuery search.Query,
 	for round := 0; round < maxRounds; round++ {
 		rounds = round + 1
 		problems := u.Problems(sets)
-		res := Solve(ex, problems)
+		res, err := SolveCtx(ctx, ex, problems)
+		if err != nil {
+			return nil, err
+		}
 		if best == nil || res.Score > best.Score {
 			best = res
 			bestSets = cloneSets(sets)
@@ -129,23 +109,7 @@ func (it *Interleave) Run(idx *index.Index, userQuery search.Query,
 		}
 		sets = newSets
 	}
-	return &InterleaveResult{Result: best, Clusters: bestSets, Rounds: rounds}
-}
-
-// problemsFromSets builds one Definition 2.2 problem per cluster set. Every
-// problem's universe is the union of all sets, so the pool scoring and the
-// incidence scan are resolved once into a shared snapshot and only the
-// cluster-dependent state is built per problem (previously every cluster
-// re-walked DocTermIDs over the same result set).
-func problemsFromSets(idx *index.Index, userQuery search.Query,
-	sets []document.DocSet, weights eval.Weights, opts PoolOptions) []*Problem {
-
-	all := document.DocSet{}
-	for _, s := range sets {
-		all = all.Union(s)
-	}
-	u := NewUniverse(idx, userQuery, all.IDs(), weights, opts)
-	return u.Problems(sets)
+	return &InterleaveResult{Result: best, Clusters: bestSets, Rounds: rounds}, nil
 }
 
 func cloneSets(sets []document.DocSet) []document.DocSet {

@@ -305,44 +305,6 @@ func ScorePool(idx *index.Index, userQuery search.Query, universeIDs []document.
 	return pool
 }
 
-// NewProblem assembles a Problem from the index, the user query, the target
-// cluster and the other-results set. weights may be nil.
-func NewProblem(idx *index.Index, userQuery search.Query, c, u document.DocSet,
-	weights eval.Weights, opts PoolOptions) *Problem {
-
-	p := &Problem{
-		UserQuery: userQuery,
-		C:         c,
-		U:         u,
-		Universe:  c.Union(u),
-		Weights:   weights,
-	}
-
-	var poolTids []termdict.TermID
-	p.Pool, poolTids = scorePool(idx, userQuery, p.Universe.IDs(), opts)
-
-	p.initDense()
-	// Keyword→document incidence by merge-join: both the pool TermIDs and
-	// each document's TermIDs are ascending, and pool position = keyword ID
-	// (both orders are lexicographic).
-	for di, id := range p.docs {
-		pi := 0
-		for _, tid := range idx.DocTermIDs(id) {
-			for pi < len(poolTids) && poolTids[pi] < tid {
-				pi++
-			}
-			if pi == len(poolTids) {
-				break
-			}
-			if poolTids[pi] == tid {
-				p.containB[pi].Add(di)
-				pi++
-			}
-		}
-	}
-	return p
-}
-
 // NewProblemFromSets assembles a Problem directly from keyword→document
 // incidence, bypassing the index. contain maps each candidate keyword to the
 // set of universe documents containing it; every universe document is
@@ -414,7 +376,7 @@ func (p *Problem) ContainSet(k string) document.DocSet {
 // right after the previous one — hint remembers it and a single string
 // compare confirms. This restores the delta-F ablation cost the PR 4
 // keyword-map removal regressed, without reintroducing a map into
-// NewProblem: the cache is lazily populated scratch, swapped in and out of
+// problem construction: the cache is lazily populated scratch, swapped in and out of
 // Problem.resolver around each call.
 type queryResolver struct {
 	terms []string

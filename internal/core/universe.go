@@ -73,9 +73,9 @@ func NewUniverse(idx *index.Index, userQuery search.Query, ids []document.DocID,
 	}
 	u.allB = document.FullBitSet(n)
 	u.pool, u.poolTids = scorePool(idx, userQuery, ids, opts)
-	// Keyword→document incidence by merge-join, exactly as NewProblem fills
-	// it: pool TermIDs and each document's TermIDs are both ascending, and
-	// pool position = keyword ID.
+	// Keyword→document incidence by merge-join: pool TermIDs and each
+	// document's TermIDs are both ascending, and pool position = keyword ID
+	// (both orders are lexicographic).
 	u.containB = make([]document.BitSet, len(u.pool))
 	for ki := range u.pool {
 		u.containB[ki] = document.NewBitSet(n)
@@ -106,8 +106,9 @@ func (u *Universe) Pool() []string { return u.pool }
 
 // Vectors returns the universe documents' clustering vectors (TF over the
 // corpus-global TermID space), built on first call and cached — the input
-// cluster.KMeansVecs expects. Not safe to race with itself; the engine calls
-// it once, from the clustering stage. Read-only.
+// cluster.KMeansVecs and cluster.Silhouette expect. The first call must not
+// race with another; ClusterExpand makes it from the clustering stage.
+// Read-only.
 func (u *Universe) Vectors() []*cluster.Vector {
 	if u.vecs == nil && len(u.docs) > 0 {
 		u.vecs = make([]*cluster.Vector, len(u.docs))
@@ -121,8 +122,7 @@ func (u *Universe) Vectors() []*cluster.Vector {
 // Problems builds one Definition 2.2 problem per cluster set. The sets must
 // partition the universe (every cluster of the request's results does), so
 // each problem's C ∪ U is the full universe and the shared snapshot state
-// applies verbatim. Bit-identical to calling NewProblem per cluster; the
-// per-cluster constructions fan out through par.For.
+// applies verbatim. The per-cluster constructions fan out through par.For.
 func (u *Universe) Problems(sets []document.DocSet) []*Problem {
 	problems := make([]*Problem, len(sets))
 	par.For(len(sets), func(i int) {

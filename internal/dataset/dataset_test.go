@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/document"
+	"repro/internal/index"
 	"repro/internal/search"
 )
 
@@ -85,7 +86,7 @@ func TestShoppingCategoriesClusterCleanly(t *testing.T) {
 	d := Shopping(1, 1)
 	eng := search.NewEngine(d.Index)
 	res := eng.Eval(search.ParseQuery(d.Index, "canon products"), search.And)
-	cl := cluster.KMeans(d.Index, res, cluster.Options{K: 3, Seed: 7, PlusPlus: true})
+	cl := kmeans(d.Index, res, cluster.Options{K: 3, Seed: 7, PlusPlus: true})
 	p := cluster.Purity(cl, d.Labels)
 	if p < 0.9 {
 		t.Errorf("canon cluster purity = %v, want >= 0.9", p)
@@ -156,7 +157,7 @@ func TestWikipediaSensesSeparate(t *testing.T) {
 	d := Wikipedia(2, 1)
 	eng := search.NewEngine(d.Index)
 	res := eng.Eval(search.ParseQuery(d.Index, "java"), search.And)
-	cl := cluster.KMeans(d.Index, res,
+	cl := kmeans(d.Index, res,
 		cluster.Options{K: 3, Seed: 3, PlusPlus: true, Restarts: 5})
 	if p := cluster.Purity(cl, d.Labels); p < 0.8 {
 		t.Errorf("java sense purity = %v, want >= 0.8", p)
@@ -219,4 +220,14 @@ func TestLabelsCoverEveryDoc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kmeans clusters documents of idx through cluster.KMeansVecs over their
+// corpus-global TF vectors.
+func kmeans(idx *index.Index, docs []document.DocID, opts cluster.Options) *cluster.Clustering {
+	vecs := make([]*cluster.Vector, len(docs))
+	for i, id := range docs {
+		vecs[i] = cluster.VectorFromDocGlobal(idx, id)
+	}
+	return cluster.KMeansVecs(idx.NumTerms(), vecs, docs, opts)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -39,7 +40,7 @@ func (s *Study) serialTiming() ([][]MethodQueries, []time.Duration) {
 		s.serialTimes = make([][]MethodQueries, len(s.Runs))
 		s.serialKMeans = make([]time.Duration, len(s.Runs))
 		for i, qr := range s.Runs {
-			_, s.serialKMeans[i] = s.runner.clusterResults(qr.Dataset, qr.Universe)
+			s.serialKMeans[i] = s.runner.Prepare(qr.Dataset, qr.TQ).ClusterTime
 			s.serialTimes[i] = s.runner.RunAll(qr)
 		}
 	})
@@ -105,7 +106,7 @@ func (s *Study) Figure3And4() []MethodSummary {
 	for i, qr := range s.Runs {
 		for _, mq := range s.Methods[i] {
 			sets := s.runner.resultSets(qr, mq.Queries)
-			compr := eval.Comprehensiveness(sets, qr.Universe, qr.Weights)
+			compr := eval.Comprehensiveness(sets, qr.Universe.Set, qr.Universe.Weights)
 			div := eval.Diversity(sets)
 			byMethod[mq.Method] = append(byMethod[mq.Method],
 				s.runner.pool.JudgeCollective(compr, div)...)
@@ -237,34 +238,20 @@ func (r *Runner) Figure7(counts []int) []ScalabilityRow {
 			n = len(all)
 		}
 		results := all[:n]
-		weights := eval.Weights{}
-		universe := search.ResultSet(results)
-		for _, res := range results {
-			weights[res.Doc] = res.Score
-		}
-		row := ScalabilityRow{NumResults: n}
-		for _, name := range []string{MethodISKR, MethodPEBC} {
+		timed := func(ex core.Expander) time.Duration {
 			start := time.Now()
-			cl := cluster.KMeans(d.Index, universe.IDs(), cluster.Options{
-				K: 3, Seed: r.Config.Seed, PlusPlus: true,
+			core.ClusterExpand(context.Background(), core.ClusterInput{
+				Index: d.Index, Query: q, Results: results, Solver: ex,
+				Cluster: cluster.Options{K: 3, Seed: r.Config.Seed, PlusPlus: true},
 			})
-			problems := core.BuildProblems(d.Index, q, cl, weights, core.DefaultPoolOptions())
-			var ex core.Expander
-			if name == MethodISKR {
-				ex = &core.ISKR{}
-			} else {
-				ex = &core.PEBC{Segments: r.Config.PEBCSegments,
-					Iterations: r.Config.PEBCIterations, Seed: r.Config.Seed}
-			}
-			core.Solve(ex, problems)
-			elapsed := time.Since(start)
-			if name == MethodISKR {
-				row.ISKR = elapsed
-			} else {
-				row.PEBC = elapsed
-			}
+			return time.Since(start)
 		}
-		out = append(out, row)
+		out = append(out, ScalabilityRow{
+			NumResults: n,
+			ISKR:       timed(&core.ISKR{}),
+			PEBC: timed(&core.PEBC{Segments: r.Config.PEBCSegments,
+				Iterations: r.Config.PEBCIterations, Seed: r.Config.Seed}),
+		})
 	}
 	return out
 }

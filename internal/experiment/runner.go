@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/document"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/userstudy"
@@ -117,19 +119,19 @@ func NewRunner(cfg Config) *Runner {
 	}
 }
 
-// QueryRun is the prepared state for one test query: ranked results, rank
-// weights, the k-means clustering, and one Definition 2.2 problem per
-// cluster.
+// QueryRun is the prepared state for one test query: ranked results, the
+// resolved universe (its Set and rank Weights), the k-means clustering, and
+// one Definition 2.2 problem per cluster.
 type QueryRun struct {
 	Dataset    *dataset.Dataset
 	TQ         dataset.TestQuery
 	Query      search.Query
 	Results    []search.Result
-	Universe   document.DocSet
-	Weights    eval.Weights
+	Universe   *core.Universe
 	Clustering *cluster.Clustering
 	Problems   []*core.Problem
-	// ClusterTime is how long k-means took (reported in §5.3's prose).
+	// ClusterTime is how long clustering took, the silhouette choice of k
+	// included (reported in §5.3's prose).
 	ClusterTime time.Duration
 
 	// ubOnce/ub lazily cache the universe as a bitset over corpus DocIDs,
@@ -145,7 +147,7 @@ type QueryRun struct {
 func (qr *QueryRun) UniverseBits() document.BitSet {
 	qr.ubOnce.Do(func() {
 		qr.ub = document.NewBitSet(qr.Dataset.Index.NumDocs())
-		for id := range qr.Universe {
+		for _, id := range qr.Universe.Docs() {
 			qr.ub.Add(int(id))
 		}
 	})
@@ -153,70 +155,63 @@ func (qr *QueryRun) UniverseBits() document.BitSet {
 }
 
 // Prepare runs the shared pipeline for one test query: search, rank, take
-// top-K (Wikipedia only), cluster with k-means, and build the per-cluster
-// problems.
-func (r *Runner) Prepare(d *dataset.Dataset, tq dataset.TestQuery) *QueryRun {
-	eng := search.NewEngine(d.Index)
-	q := search.ParseQuery(d.Index, tq.Raw)
-	topK := 0
-	if d.Name == "wikipedia" {
-		topK = r.Config.TopK
-	}
-	results := eng.Search(q, search.And, topK)
-	universe := search.ResultSet(results)
-	weights := eval.Weights{}
-	for _, res := range results {
-		weights[res.Doc] = res.Score
-	}
-
-	cl, clusterTime := r.clusterResults(d, universe)
-	problems := core.BuildProblems(d.Index, q, cl, weights, core.DefaultPoolOptions())
-	return &QueryRun{
-		Dataset: d, TQ: tq, Query: q, Results: results, Universe: universe,
-		Weights: weights, Clustering: cl, Problems: problems,
-		ClusterTime: clusterTime,
-	}
-}
-
-// clusterResults picks the granularity k and runs k-means for one query's
-// result universe, returning the clustering and its wall time. Also used by
-// the Study's serial re-timing pass, so the §5.3 clustering-time prose is
-// measured without CPU contention from the parallel study fan-out.
+// top-K (Wikipedia only), then core.ClusterExpand without a solver — the
+// engine's own pipeline — to cluster with k-means and build the per-cluster
+// problems (RunAll solves them).
 //
 // k: the user-specified granularity. We derive it from the number of
 // distinct ground-truth categories/senses among the results, capped by
 // MaxExpanded — standing in for "an upper bound specified by the user".
 // When the results are label-homogeneous (e.g. QS3: all routers), the
 // user would still want subgroups (the paper's QS3 clusters by product
-// line), so we pick k by silhouette over 2..4.
-func (r *Runner) clusterResults(d *dataset.Dataset, universe document.DocSet) (*cluster.Clustering, time.Duration) {
-	distinct := map[string]struct{}{}
-	for id := range universe {
-		distinct[d.Labels[id]] = struct{}{}
+// line), so we pick k by silhouette over 2..4, clustering the one
+// universe's vectors again for k = 3 and 4.
+func (r *Runner) Prepare(d *dataset.Dataset, tq dataset.TestQuery) *QueryRun {
+	q := search.ParseQuery(d.Index, tq.Raw)
+	topK := 0
+	if d.Name == "wikipedia" {
+		topK = r.Config.TopK
 	}
-	k := len(distinct)
-	if k > r.Config.MaxExpanded {
-		k = r.Config.MaxExpanded
+	results := search.NewEngine(d.Index).Search(q, search.And, topK)
+
+	distinct := map[string]struct{}{}
+	for _, res := range results {
+		distinct[d.Labels[res.Doc]] = struct{}{}
+	}
+	k := min(len(distinct), r.Config.MaxExpanded)
+	bySilhouette := k < 2
+	if bySilhouette {
+		k = 2
+	}
+	kmeans := func(k int) cluster.Options {
+		return cluster.Options{K: k, Seed: r.Config.Seed, PlusPlus: true, Restarts: 5}
 	}
 
-	start := time.Now()
-	var cl *cluster.Clustering
-	if k >= 2 {
-		cl = cluster.KMeans(d.Index, universe.IDs(), cluster.Options{
-			K: k, Seed: r.Config.Seed, PlusPlus: true, Restarts: 5,
-		})
-	} else {
-		best := -2.0
-		for kk := 2; kk <= 4; kk++ {
-			cand := cluster.KMeans(d.Index, universe.IDs(), cluster.Options{
-				K: kk, Seed: r.Config.Seed, PlusPlus: true, Restarts: 5,
-			})
-			if s := cluster.Silhouette(d.Index, cand); s > best {
+	var tr obs.Trace
+	run, _ := core.ClusterExpand(context.Background(), core.ClusterInput{
+		Index: d.Index, Query: q, Results: results, Cluster: kmeans(k), Trace: &tr,
+	})
+	cl, problems := run.Clustering, run.Problems
+	clusterTime := tr.Durations[obs.StageCluster]
+	if bySilhouette {
+		start := time.Now()
+		vecs, docs := run.Universe.Vectors(), run.Universe.Docs()
+		best := cluster.Silhouette(vecs, docs, cl)
+		for kk := 3; kk <= 4; kk++ {
+			cand := cluster.KMeansVecs(d.Index.NumTerms(), vecs, docs, kmeans(kk))
+			if s := cluster.Silhouette(vecs, docs, cand); s > best {
 				best, cl = s, cand
 			}
 		}
+		clusterTime += time.Since(start)
+		if cl != run.Clustering {
+			problems = run.Universe.Problems(cl.Sets())
+		}
 	}
-	return cl, time.Since(start)
+	return &QueryRun{
+		Dataset: d, TQ: tq, Query: q, Results: results, Universe: run.Universe,
+		Clustering: cl, Problems: problems, ClusterTime: clusterTime,
+	}
 }
 
 // expanders returns the cluster-based methods, configured per the paper.
@@ -332,8 +327,8 @@ func (r *Runner) scoreAgainstClusters(qr *QueryRun, queries []search.Query) floa
 	}
 	fs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		retrieved := baseline.RetrieveWithin(qr.Dataset.Index, queries[i], qr.Universe)
-		fs = append(fs, eval.Measure(retrieved, sets[i], qr.Weights).F)
+		retrieved := baseline.RetrieveWithin(qr.Dataset.Index, queries[i], qr.Universe.Set)
+		fs = append(fs, eval.Measure(retrieved, sets[i], qr.Universe.Weights).F)
 	}
 	return eval.Score(fs)
 }
@@ -344,7 +339,7 @@ func (r *Runner) scoreAgainstClusters(qr *QueryRun, queries []search.Query) floa
 func (r *Runner) resultSets(qr *QueryRun, queries []search.Query) []document.DocSet {
 	out := make([]document.DocSet, len(queries))
 	for i, q := range queries {
-		out[i] = baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe)
+		out[i] = baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Set)
 	}
 	return out
 }
@@ -382,7 +377,7 @@ func (r *Runner) relatedness(qr *QueryRun, q search.Query) float64 {
 		}
 	}
 	rel := float64(present) / float64(len(expansion))
-	if baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe).Len() == 0 {
+	if baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Set).Len() == 0 {
 		rel *= 0.4
 	}
 	return rel
@@ -390,10 +385,10 @@ func (r *Runner) relatedness(qr *QueryRun, q search.Query) float64 {
 
 // helpfulness is the query's best F-measure against any cluster.
 func (r *Runner) helpfulness(qr *QueryRun, q search.Query) float64 {
-	retrieved := baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe)
+	retrieved := baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Set)
 	best := 0.0
 	for _, set := range qr.Clustering.Sets() {
-		if f := eval.Measure(retrieved, set, qr.Weights).F; f > best {
+		if f := eval.Measure(retrieved, set, qr.Universe.Weights).F; f > best {
 			best = f
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/document"
-	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -238,9 +237,15 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // resetBuild returns the engine to the mutation phase: the index is dropped,
-// Build is re-armed, and any cached expansions (now stale) are purged. Must
-// not race with other Engine calls — see the concurrency contract on Engine.
+// Build is re-armed, and any cached expansions (now stale) are purged. An
+// engine that was never built (or was reset since) has nothing to reset:
+// the cache only fills after Build, so corpus set-up pays no purge per
+// document. Must not race with other Engine calls — see the concurrency
+// contract on Engine.
 func (e *Engine) resetBuild() {
+	if e.idx == nil {
+		return
+	}
 	e.idx = nil
 	e.eng = nil
 	e.buildOnce = new(sync.Once)
@@ -541,120 +546,56 @@ func (e *Engine) expandFull(ctx context.Context, raw string, opts ExpandOptions,
 	return out, nil
 }
 
-// clusteredExpander runs the paper's pipeline — cluster the results, build
-// one Definition 2.2 problem per cluster, solve with the selected core
-// algorithm — behind the Expander interface. One instance per clustered
-// Method lives in builtinExpanders; the body is the historical expand tail,
-// so output is bit-identical to the pre-interface engine (pinned by the
-// expansion goldens).
+// clusteredExpander runs the paper's pipeline — core.ClusterExpand: cluster
+// the results, build one Definition 2.2 problem per cluster, solve with the
+// selected core algorithm — behind the Expander interface. It only picks the
+// solver and assembles the Expansion. One instance per clustered Method
+// lives in builtinExpanders; the experiments and the CLIs run the same
+// function, so the paper's figures come from the code the server runs
+// (pinned by the expansion goldens and TestEngineMatchesExperimentRunner).
 type clusteredExpander struct{ method Method }
 
 func (c clusteredExpander) Name() string { return methodRegistry[c.method].Name }
 
 func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
-	e, q, opts, tr := in.Engine, in.Query, in.Opts, in.trace
+	e, opts, tr := in.Engine, in.Opts, in.trace
 	k := in.SuggestionCount()
-
-	tr.Begin(obs.StageProblem)
-	var weights eval.Weights
-	if !opts.Unweighted {
-		weights = eval.Weights{}
-		for _, r := range in.Results {
-			weights[r.Doc] = r.Score
-		}
-	}
-	// One resolved universe snapshot serves the whole request: clustering
-	// consumes its document vectors and every per-cluster problem shares its
-	// candidate pool and keyword incidence (previously recomputed per
-	// cluster — see core.Universe).
-	u := core.NewUniverse(e.idx, q, search.ResultIDs(in.Results), weights,
-		core.DefaultPoolOptions())
-	tr.End(obs.StageProblem)
-
-	copts := cluster.Options{
-		K: k, Seed: e.seed, PlusPlus: true, Restarts: 5, Quality: opts.Quality,
-		RestartBudget:     opts.RestartBudget,
-		AggressiveAbandon: opts.AggressiveAbandon,
-		Ctx:               in.ctx,
-	}
-	if in.explain != nil {
-		copts.Trail = &cluster.Trail{}
-	}
-	tr.Begin(obs.StageCluster)
-	cl := cluster.KMeansVecs(e.idx.NumTerms(), u.Vectors(), u.Docs(), copts)
-	tr.End(obs.StageCluster)
-	tr.SetKMeans(cl.Restarts, cl.TotalIterations, cl.AbandonedRestarts)
-	// A cancelled drive returned a partial clustering; discard it — partial
-	// output must never be surfaced (or cached) as the query's expansion.
-	if ctx := in.Context(); ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	if in.explain != nil {
-		in.explain.KMeans = explainKMeans(k, cl, copts.Trail)
-	}
 
 	// The core algorithm follows c.method — the dispatch identity, which
 	// backendFor resolved from Method or MethodName — never opts.Method,
 	// which may disagree when MethodName is set.
-	var expander core.Expander
+	var solver core.Expander
 	switch c.method {
 	case PEBC:
-		expander = &core.PEBC{Seed: e.seed}
+		solver = &core.PEBC{Seed: e.seed}
 	case DeltaF:
-		expander = &core.FMeasureVariant{}
+		solver = &core.FMeasureVariant{}
 	case ORExpansion:
-		expander = &core.ORISKR{}
+		solver = &core.ORISKR{}
 	default:
-		expander = &core.ISKR{}
+		solver = &core.ISKR{}
 	}
-
-	var res *core.QECResult
-	var problems []*core.Problem
-	if opts.Interleave > 0 {
-		// Interleave alternates solving and re-clustering internally; its
-		// rounds are accounted wholly to the solve stage.
-		tr.Begin(obs.StageSolve)
-		it := &core.Interleave{Expander: expander, MaxRounds: opts.Interleave, Universe: u}
-		res = it.Run(e.idx, q, cl, weights).Result
-		tr.End(obs.StageSolve)
-		// Interleave's rounds are not ctx-aware; honor a cancellation that
-		// arrived during the run before surfacing (and caching) the result.
-		if ctx := in.Context(); ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if in.explain != nil {
-			in.explain.Notes = append(in.explain.Notes,
-				"interleave rounds rebuild problems internally; per-cluster solver trails are not collected")
-		}
-	} else {
-		// Problem construction continues the "problem" span started for the
-		// universe above; End accumulates across the two intervals.
-		tr.Begin(obs.StageProblem)
-		problems = u.Problems(cl.Sets())
-		tr.End(obs.StageProblem)
-		if in.explain != nil {
-			// Attach a decision trail per problem. Recording is read-along
-			// only (see core.Trail), so the solve below stays bit-identical.
-			for _, p := range problems {
-				p.Trail = &core.Trail{}
-			}
-		}
-		// Solve fans per-cluster work across the process-wide worker budget
-		// (serial under contention).
-		// SolveCtx checks the context at cluster boundaries; a cancelled
-		// solve errors out here instead of assembling a partial expansion.
-		tr.Begin(obs.StageSolve)
-		var serr error
-		res, serr = core.SolveCtx(in.Context(), expander, problems)
-		tr.End(obs.StageSolve)
-		if serr != nil {
-			return nil, serr
-		}
+	copts := cluster.Options{
+		K: k, Seed: e.seed, PlusPlus: true, Restarts: 5, Quality: opts.Quality,
+		RestartBudget:     opts.RestartBudget,
+		AggressiveAbandon: opts.AggressiveAbandon,
 	}
+	if in.explain != nil {
+		copts.Trail = &cluster.Trail{}
+	}
+	run, err := core.ClusterExpand(in.Context(), core.ClusterInput{
+		Index: e.idx, Query: in.Query, Results: in.Results, Unweighted: opts.Unweighted,
+		Cluster: copts, Solver: solver, Interleave: opts.Interleave,
+		Trace: tr, Explain: in.explain != nil,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cl, res := run.Clustering, run.Result
 
 	tr.Begin(obs.StageAssemble)
 	out := &Expansion{
-		Original: q.Terms,
+		Original: in.Query.Terms,
 		Clusters: cl.Clusters,
 		Score:    res.Score,
 	}
@@ -669,7 +610,12 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 	}
 	tr.End(obs.StageAssemble)
 	if in.explain != nil {
-		c.explainClusters(in.explain, out, cl, res, problems)
+		in.explain.KMeans = explainKMeans(k, cl, copts.Trail)
+		if opts.Interleave > 0 {
+			in.explain.Notes = append(in.explain.Notes,
+				"interleave rounds rebuild problems internally; per-cluster solver trails are not collected")
+		}
+		c.explainClusters(in.explain, out, cl, res, run.Problems)
 	}
 	return out, nil
 }
