@@ -174,20 +174,10 @@ func main() {
 
 	// The paper's pipeline, as the server runs it. The cs baseline labels
 	// the clusters itself, so it runs without a solver.
-	var solver core.Expander
-	if !baselineMethod {
-		switch m {
-		case qec.PEBC:
-			solver = &core.PEBC{Seed: *seed}
-		case qec.DeltaF:
-			solver = &core.FMeasureVariant{}
-		case qec.ORExpansion:
-			solver = &core.ORISKR{}
-		default:
-			solver = &core.ISKR{}
-		}
+	solver, copts := qec.ClusteredPipeline(m, *k, *seed)
+	if baselineMethod {
+		solver = nil
 	}
-	copts := cluster.Options{K: *k, Seed: *seed, PlusPlus: true, Restarts: 5}
 	if *explain {
 		copts.Trail = &cluster.Trail{}
 	}

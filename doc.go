@@ -121,21 +121,23 @@
 // corpora with duplicated documents, and by Validate cross-checking
 // every stored bound against the postings).
 //
-// The clustering hot path runs on sparse points against dense centroids,
-// both over the global TermID space. A document's vector shares the index's
-// term arena slice directly (no per-run dictionary interning) with its norm
-// cached at construction; a k-means centroid is a dense []float64 over the
-// vocabulary with its sorted support tracked, so each point·centroid
-// distance is a gather over the point's IDs — cells the sparse merge-join
-// would skip read an exact 0.0, and adding w·0 to a non-negative partial
-// sum never changes its bits, which is why the gather is bit-identical to
-// the merge-join it replaced. K-means restarts, the assignment step and the
-// k-means++ D² scan fan out through internal/par, like every other parallel
-// loop in the program: one process-wide budget of GOMAXPROCS−1 helper
-// goroutines, acquired without blocking (the caller's own share needs no
-// helper), so a nested fan (chunked assignment inside the restart fan) or a
-// concurrent one (another request's) runs serially once the budget is spent
-// instead of oversubscribing the CPU. Reductions stay serial and in index
+// The clustering hot path runs on sparse points against dense centroids.
+// A document's vector shares the index's term arena slice directly (no
+// per-run dictionary interning) with its norm cached at construction. Each
+// k-means call renumbers the union of its points' TermIDs densely in
+// ascending order, and a centroid is a dense []float64 over that local
+// space, so each point·centroid distance is a gather over the point's IDs —
+// cells the sparse merge-join would skip read an exact 0.0, and adding w·0
+// to a non-negative partial sum never changes its bits, which is why the
+// gather is bit-identical to the merge-join it replaced. A centroid update
+// scans all local cells in order instead of sorting the touched ones.
+// K-means restarts, the assignment step and the k-means++ D² scan fan out
+// through internal/par, like every other parallel loop in the program: one
+// process-wide budget of GOMAXPROCS−1 helper goroutines, acquired without
+// blocking (the caller's own share needs no helper), so a nested fan
+// (chunked assignment inside the restart fan) or a concurrent one (another
+// request's) runs serially once the budget is spent instead of
+// oversubscribing the CPU. Reductions stay serial and in index
 // order; restarts advance in deterministic lockstep rounds.
 //
 // # Clustering quality modes

@@ -72,8 +72,9 @@ func BenchmarkVectorFromDoc(b *testing.B) {
 	}
 }
 
-// benchAssignState seeds one k-means run over the bench corpus so the
-// assignment step can be measured in isolation.
+// benchAssignState seeds one k-means run over the bench corpus, in its local
+// term space as KMeansVecs runs it, so the assignment step can be measured
+// in isolation.
 func benchAssignState(b *testing.B, n, k int, pruned bool) *runState {
 	b.Helper()
 	idx, ids := benchCorpus(n)
@@ -81,7 +82,7 @@ func benchAssignState(b *testing.B, n, k int, pruned bool) *runState {
 	for i, id := range ids {
 		vecs[i] = VectorFromDocGlobal(idx, id)
 	}
-	return newRunState(idx.NumTerms(), vecs,
+	return newRunState(newTermSpace(idx.NumTerms(), vecs),
 		Options{K: k, Seed: 1, PlusPlus: true, MaxIter: 50}, pruned)
 }
 

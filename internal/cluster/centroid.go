@@ -2,64 +2,80 @@ package cluster
 
 import (
 	"math"
-	"slices"
-	"sync"
-
-	"repro/internal/termdict"
+	"math/bits"
 )
 
-// centroid is a k-means centroid in dense form: a vocabulary-sized []float64
-// indexed by global TermID, plus the sorted support (the IDs of its non-zero
-// cells) and the cached Euclidean norm. Points stay sparse; with the centroid
-// dense, a point·centroid dot product is a gather loop over the point's IDs —
-// no merge-join, no branches — which is what makes assignment cheap when
-// centroid supports grow to the union of their cluster's vocabularies.
+// termSpace is the local term space of one k-means call: the union of its
+// vectors' TermIDs, numbered densely 0..L−1 in ascending global order. A
+// result set uses a few hundred of the corpus's terms, so centroids over
+// this space are L cells instead of vocabulary-sized. Renumbering preserves
+// the order of every ID slice, so each sum accumulates in the same order
+// as over global IDs.
+type termSpace struct {
+	// size is L, the number of distinct terms.
+	size int
+	// vecs are the input vectors re-expressed over local IDs. They share
+	// the inputs' weights and cached norms.
+	vecs []*Vector
+}
+
+// newTermSpace builds the local space of vecs, whose IDs lie in [0, dim).
+// The union is a dim-bit bitmap; a point's local ID is its bit's rank,
+// the count of set bits below it.
+func newTermSpace(dim int, vecs []*Vector) termSpace {
+	type word struct {
+		bits uint64
+		base int32 // local ID of the word's lowest set bit
+	}
+	words := make([]word, (dim+63)>>6)
+	nnz := 0
+	for _, v := range vecs {
+		nnz += len(v.ids)
+		for _, id := range v.ids {
+			words[id>>6].bits |= 1 << (id & 63)
+		}
+	}
+	l := 0
+	for i := range words {
+		words[i].base = int32(l)
+		l += bits.OnesCount64(words[i].bits)
+	}
+
+	arena := make([]int32, nnz)
+	local := make([]Vector, len(vecs))
+	out := make([]*Vector, len(vecs))
+	for i, v := range vecs {
+		ids := arena[:len(v.ids):len(v.ids)]
+		arena = arena[len(v.ids):]
+		for j, id := range v.ids {
+			w := words[id>>6]
+			ids[j] = w.base + int32(bits.OnesCount64(w.bits&(1<<(id&63)-1)))
+		}
+		local[i] = Vector{ids: ids, ws: v.ws, norm: v.Norm(), normOK: true}
+		out[i] = &local[i]
+	}
+	return termSpace{size: l, vecs: out}
+}
+
+// centroid is a k-means centroid in dense form over a termSpace: one cell
+// per local term, plus the cached Euclidean norm. Points stay sparse; with
+// the centroid dense, a point·centroid dot product is a gather loop over
+// the point's IDs — no merge-join, no branches.
 //
 // Bit-identity with the sparse merge-join implementation: the gather visits
 // the point's IDs ascending; IDs the sparse merge-join would skip (absent
-// from the centroid) read an exact 0.0 from the dense array, and adding
-// w·0 = +0.0 to a non-negative partial sum never changes its bits. All cells
-// outside support are kept at exactly 0.0 (cleared on every update), so the
-// gather's sum equals the merge-join's sum bit for bit.
+// from the centroid) read an exact 0.0 from the dense cells, and adding
+// w·0 = +0.0 to a non-negative partial sum never changes its bits.
 type centroid struct {
-	vals    []float64
-	support []int32
-	norm    float64
-}
-
-// denseValsPool recycles the vocabulary-sized value arrays across runs so a
-// serving engine does not allocate (and zero) k·restarts·|vocab| floats per
-// Expand. Invariant: every pooled array is entirely zero (release clears the
-// support cells before putting it back).
-var denseValsPool sync.Pool
-
-// getDenseVals returns an all-zero []float64 of length dim.
-func getDenseVals(dim int) []float64 {
-	if v, ok := denseValsPool.Get().(*[]float64); ok && cap(*v) >= dim {
-		return (*v)[:dim]
-	}
-	return make([]float64, dim)
-}
-
-// release zeroes the centroid's support cells and returns the value array to
-// the pool, restoring the all-zero invariant.
-func (c *centroid) release() {
-	for _, id := range c.support {
-		c.vals[id] = 0
-	}
-	v := c.vals[:cap(c.vals)]
-	c.vals = nil
-	denseValsPool.Put(&v)
+	vals []float64
+	norm float64
 }
 
 // setFromVector scatters a sparse point into the centroid (the seeding step:
 // initial centroids are copies of points). The norm carries over from the
 // point's construction-time cache, exactly as Clone used to carry it.
 func (c *centroid) setFromVector(v *Vector) {
-	for _, id := range c.support {
-		c.vals[id] = 0
-	}
-	c.support = append(c.support[:0], v.ids...)
+	clear(c.vals)
 	for i, id := range v.ids {
 		c.vals[id] = v.ws[i]
 	}
@@ -88,56 +104,48 @@ func (c *centroid) cosDist(v *Vector) float64 {
 	return 1 - c.dotVec(v)/(nv*c.norm)
 }
 
-// setMean recomputes the centroid as the mean of vs, bit-identical to
-// cluster.Mean: components accumulate in input order over the epoch-stamped
-// scratch (first touch zero-initializes, like a zeroed buffer), then emit in
-// ascending ID order scaled by 1/len(vs), with the norm accumulated in that
-// same ascending order. When drift is true it also returns the chord-space
-// distance ‖old/‖old‖ − new/‖new‖‖ = √(2·(1−cos(old,new))) between the old
-// and new centroid directions — the bound Hamerly pruning needs — computed
-// against the old cells before they are cleared. vs must be non-empty.
-func (c *centroid) setMean(vs []*Vector, s *termdict.DenseScratch, drift bool) float64 {
-	s.Reset(len(c.vals))
+// setMean recomputes the centroid as the mean of vs, bit-identical to Mean:
+// components accumulate in input order into the zeroed buffer acc, then
+// are scaled by 1/len(vs) in ascending ID order, with the norm accumulated
+// in that same order. Cells no vector touches stay 0 and add +0 to the
+// norm, so scanning all cells needs no sorted support. acc becomes the
+// centroid's cells; the old cells are returned for the next update to
+// accumulate into.
+//
+// When drift is true setMean also returns the chord-space distance
+// ‖old/‖old‖ − new/‖new‖‖ = √(2·(1−cos(old,new))) between the old and new
+// centroid directions — the bound Hamerly pruning needs. vs must be
+// non-empty.
+func (c *centroid) setMean(vs []*Vector, acc []float64, drift bool) (old []float64, d float64) {
+	clear(acc)
 	for _, v := range vs {
 		for i, id := range v.ids {
-			s.Add(id, v.ws[i])
+			acc[id] += v.ws[i]
 		}
 	}
-	touched := s.Touched
-	slices.Sort(touched)
 	f := 1 / float64(len(vs))
+	norm := 0.0
+	for id, s := range acc {
+		w := s * f
+		acc[id] = w
+		norm += w * w
+	}
+	norm = math.Sqrt(norm)
 
-	d := 0.0
 	if drift {
-		// cos(old, new) via a gather of old cells at the new support (cells
-		// outside either support contribute 0), before the old cells vanish.
-		dot, newNorm := 0.0, 0.0
-		for _, id := range touched {
-			w := s.Vals[id] * f
+		dot := 0.0
+		for id, w := range acc {
 			dot += w * c.vals[id]
-			newNorm += w * w
 		}
-		newNorm = math.Sqrt(newNorm)
-		if c.norm == 0 || newNorm == 0 {
+		if c.norm == 0 || norm == 0 {
 			d = 2 // maximal chord distance between unit vectors: sound bound
 		} else {
-			cs := dot / (c.norm * newNorm)
+			cs := dot / (c.norm * norm)
 			if diff := 2 * (1 - cs); diff > 0 {
 				d = math.Sqrt(diff)
 			}
 		}
 	}
-
-	for _, id := range c.support {
-		c.vals[id] = 0
-	}
-	c.support = append(c.support[:0], touched...)
-	norm := 0.0
-	for _, id := range c.support {
-		w := s.Vals[id] * f
-		c.vals[id] = w
-		norm += w * w
-	}
-	c.norm = math.Sqrt(norm)
-	return d
+	old, c.vals, c.norm = c.vals, acc, norm
+	return old, d
 }

@@ -93,13 +93,13 @@ func TestMeanCentroid(t *testing.T) {
 	m := Mean([]*Vector{
 		d.Vector(map[string]float64{"x": 2}),
 		d.Vector(map[string]float64{"x": 4, "y": 2}),
-	}, d.Len())
+	})
 	xid, _ := d.ID("x")
 	yid, _ := d.ID("y")
 	if m.Weight(xid) != 3 || m.Weight(yid) != 1 {
 		t.Errorf("Mean = %v", m.ToMap(d))
 	}
-	if got := Mean(nil, d.Len()); got.Len() != 0 {
+	if got := Mean(nil); got.Len() != 0 {
 		t.Errorf("Mean(nil) = %v", got.ToMap(d))
 	}
 }

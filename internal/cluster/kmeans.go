@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/document"
 	"repro/internal/par"
-	"repro/internal/termdict"
+	"repro/internal/seedrand"
 )
 
 // Clustering is the output of a clustering run: an assignment of the input
@@ -173,7 +173,9 @@ func (o *Options) defaults() {
 // and restarts advance in lockstep rounds so early-abandon decisions never
 // depend on goroutine scheduling.
 //
-// Centroids are dense []float64 over the vocabulary (see centroid), so every
+// The restarts run in the call's local term space (see termSpace): the
+// union of the vectors' TermIDs renumbered densely in ascending order.
+// Centroids are dense []float64 over that space (see centroid), so every
 // point·centroid distance is a branch-free gather over the point's IDs. In
 // QualityExact mode the output is bit-identical to the sparse merge-join
 // implementation (pinned by the kmeans golden file); QualityServing trades a
@@ -225,11 +227,12 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 	restarts int, pruned, abandon bool) *Clustering {
 
+	sp := newTermSpace(dim, vecs)
 	states := make([]*runState, restarts)
 	par.For(restarts, func(r int) {
 		ro := opts
 		ro.Seed = opts.Seed + int64(r)*7919 // distinct derived seeds
-		states[r] = newRunState(dim, vecs, ro, pruned)
+		states[r] = newRunState(sp, ro, pruned)
 	})
 
 	// Aggressive abandonment (the ladder's tier-2 knob) abandons a trailing
@@ -244,6 +247,7 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 
 	bestDone := math.Inf(1)
 	hasDone := false
+	live := make([]*runState, 0, restarts)
 	for {
 		// Round boundary: a cancelled request stops the drive right here —
 		// between rounds, never inside one, so a run that finishes is
@@ -251,7 +255,7 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 		if ctx := opts.Ctx; ctx != nil && ctx.Err() != nil {
 			break
 		}
-		var live []*runState
+		live = live[:0]
 		for _, st := range states {
 			if !st.done && !st.abandoned {
 				live = append(live, st)
@@ -307,7 +311,6 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 				Won:        st == best,
 			}
 		}
-		st.release()
 	}
 	return cl
 }
@@ -316,16 +319,16 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 // driver. All fields are owned by the run; the driver only reads distortion /
 // done / abandoned at round boundaries.
 type runState struct {
-	vecs    []*Vector
+	vecs    []*Vector // over the local term space
 	k       int
 	maxIter int
 	pruned  bool
 
-	cents   []*centroid
-	assign  []int
-	dists   []float64
-	groups  [][]*Vector
-	scratch termdict.DenseScratch
+	cents  []centroid
+	acc    []float64 // the spare L-cell buffer the next centroid update fills
+	assign []int
+	dists  []float64
+	groups [][]*Vector
 
 	// Hamerly single-bound state (pruned mode), in chord space √(2·cosDist):
 	// ub[i] bounds the distance to the assigned centroid from above, lb[i]
@@ -356,34 +359,42 @@ func chordDist(d float64) float64 {
 	return math.Sqrt(2 * d)
 }
 
-// newRunState seeds one run (uniform or k-means++) exactly like the sparse
-// implementation: the rng draw sequence is unchanged because every distance
-// the D² scan consumes is bit-identical to its merge-join counterpart.
-func newRunState(dim int, vecs []*Vector, opts Options, pruned bool) *runState {
-	n := len(vecs)
+// newRunState seeds one run (uniform or k-means++) over the local space sp
+// exactly like the sparse implementation: the rng draw sequence is
+// unchanged because every distance the D² scan consumes is bit-identical to
+// its merge-join counterpart. One slab holds the k centroids' cells and the
+// spare accumulator, another the k groups.
+func newRunState(sp termSpace, opts Options, pruned bool) *runState {
+	vecs := sp.vecs
+	n, l := len(vecs), sp.size
 	k := opts.K
 	if k > n {
 		k = n
 	}
+	slab := make([]float64, (k+1)*l)
 	st := &runState{
 		vecs:    vecs,
 		k:       k,
 		maxIter: opts.MaxIter,
 		pruned:  pruned,
-		cents:   make([]*centroid, k),
+		cents:   make([]centroid, k),
+		acc:     slab[k*l:],
 		assign:  make([]int, n),
 		dists:   make([]float64, n),
 		groups:  make([][]*Vector, k),
 	}
+	// Each group can hold every point, so regrouping never reallocates.
+	members := make([]*Vector, k*n)
 	for c := range st.cents {
-		st.cents[c] = &centroid{vals: getDenseVals(dim)}
+		st.cents[c].vals = slab[c*l : (c+1)*l : (c+1)*l]
+		st.groups[c] = members[c*n : c*n : (c+1)*n]
 	}
 	if pruned {
 		st.ub = make([]float64, n)
 		st.lb = make([]float64, n)
 		st.drift = make([]float64, k)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := seedrand.New(opts.Seed)
 	if opts.PlusPlus {
 		st.seedPlusPlus(rng)
 	} else {
@@ -395,13 +406,6 @@ func newRunState(dim int, vecs []*Vector, opts Options, pruned bool) *runState {
 	return st
 }
 
-// release returns the dense centroid buffers to the pool.
-func (st *runState) release() {
-	for _, c := range st.cents {
-		c.release()
-	}
-}
-
 // seedPlusPlus implements k-means++ seeding under cosine distance. The
 // nearest-centroid distance of every point is maintained incrementally (a
 // left-fold min, exactly the scan order of the full rescan it replaces) and
@@ -411,7 +415,7 @@ func (st *runState) release() {
 func (st *runState) seedPlusPlus(rng *rand.Rand) {
 	vecs := st.vecs
 	n := len(vecs)
-	first := st.cents[0]
+	first := &st.cents[0]
 	first.setFromVector(vecs[rng.Intn(n)])
 	best := make([]float64, n)
 	par.Chunks(n, func(lo, hi int) {
@@ -457,7 +461,7 @@ func (st *runState) seedPlusPlus(rng *rand.Rand) {
 		}
 		st.cents[placed].setFromVector(pickVec)
 		if placed+1 < st.k {
-			fold(st.cents[placed]) // the last centroid seeds no further round
+			fold(&st.cents[placed]) // the last centroid seeds no further round
 		}
 	}
 }
@@ -512,7 +516,8 @@ func (st *runState) step() {
 			}
 			continue
 		}
-		mv := st.cents[c].setMean(st.groups[c], &st.scratch, st.pruned)
+		var mv float64
+		st.acc, mv = st.cents[c].setMean(st.groups[c], st.acc, st.pruned)
 		if st.pruned {
 			st.drift[c] = mv
 		}

@@ -146,41 +146,85 @@ func TestQualityStringNames(t *testing.T) {
 	}
 }
 
-// TestDenseCentroidMatchesSparseMean pins the dense centroid update against
-// the exported sparse Mean: same support, same weights, same norm, bit for
-// bit (setMean documents itself as bit-identical to Mean).
+// TestDenseCentroidMatchesSparseMean pins the local-space centroid update
+// against the exported sparse Mean: mapped back to global TermIDs, the
+// centroid's non-zero cells are Mean's support with the same weights and
+// the same norm, bit for bit (setMean documents itself as bit-identical to
+// Mean). The update runs twice, into a buffer that held the previous
+// centroid, to exercise the double-buffer swap.
 func TestDenseCentroidMatchesSparseMean(t *testing.T) {
 	idx, ids := randomCorpus(13, 30)
 	vecs := vecsOf(idx, ids)
-	dim := idx.NumTerms()
-	c := &centroid{vals: getDenseVals(dim)}
-	c.setFromVector(vecs[0]) // occupy some support to exercise the clear path
-	st := new(runState)
-	c.setMean(vecs, &st.scratch, false)
-	want := Mean(vecs, dim)
-	if len(c.support) != want.Len() {
-		t.Fatalf("support %d vs Mean %d", len(c.support), want.Len())
-	}
-	for i, id := range want.ids {
-		if c.support[i] != id {
-			t.Fatalf("support[%d] = %d, want %d", i, c.support[i], id)
+	sp := newTermSpace(idx.NumTerms(), vecs)
+	terms := globalIDs(t, sp, vecs)
+	c := &centroid{vals: make([]float64, sp.size)}
+	c.setFromVector(sp.vecs[0])
+	acc := make([]float64, sp.size)
+	for _, group := range [][]*Vector{sp.vecs[:7], sp.vecs} {
+		acc, _ = c.setMean(group, acc, true)
+		want := Mean(vecs[:len(group)])
+		var gotIDs []int32
+		for lid, w := range c.vals {
+			if w != 0 {
+				gotIDs = append(gotIDs, terms[lid])
+			}
 		}
-		if math.Float64bits(c.vals[id]) != math.Float64bits(want.ws[i]) {
-			t.Fatalf("weight[%d] = %v, want %v", id, c.vals[id], want.ws[i])
+		if len(gotIDs) != want.Len() {
+			t.Fatalf("%d docs: %d non-zero cells vs Mean support %d", len(group), len(gotIDs), want.Len())
+		}
+		for i, id := range want.ids {
+			if gotIDs[i] != id {
+				t.Fatalf("%d docs: support[%d] = %d, want %d", len(group), i, gotIDs[i], id)
+			}
+		}
+		for lid, w := range c.vals {
+			if math.Float64bits(w) != math.Float64bits(want.Weight(terms[lid])) {
+				t.Fatalf("%d docs: weight of term %d = %v, want %v", len(group), terms[lid], w, want.Weight(terms[lid]))
+			}
+		}
+		if math.Float64bits(c.norm) != math.Float64bits(want.Norm()) {
+			t.Fatalf("%d docs: norm %v vs %v", len(group), c.norm, want.Norm())
 		}
 	}
-	if math.Float64bits(c.norm) != math.Float64bits(want.Norm()) {
-		t.Fatalf("norm %v vs %v", c.norm, want.Norm())
-	}
-	// And every cell outside the support is exactly zero — the gather-dot
-	// bit-identity argument depends on it.
-	onSupport := make(map[int32]bool, len(c.support))
-	for _, id := range c.support {
-		onSupport[id] = true
-	}
-	for id, v := range c.vals {
-		if !onSupport[int32(id)] && v != 0 {
-			t.Fatalf("cell %d outside support holds %v", id, v)
+}
+
+// globalIDs maps each local ID of sp back to its global TermID, read off
+// the vectors, and checks the space: one global ID per local ID, the local
+// IDs 0..L−1 all used and numbered in ascending global order, and every
+// local vector carrying its input's weights and norm.
+func globalIDs(t *testing.T, sp termSpace, vecs []*Vector) []int32 {
+	t.Helper()
+	terms := make([]int32, sp.size)
+	seen := make([]bool, sp.size)
+	for i, v := range vecs {
+		lv := sp.vecs[i]
+		if lv.Len() != v.Len() || lv.Norm() != v.Norm() {
+			t.Fatalf("vector %d: len/norm %d/%v, want %d/%v", i, lv.Len(), lv.Norm(), v.Len(), v.Norm())
 		}
+		for j, lid := range lv.ids {
+			if lv.ws[j] != v.ws[j] || (seen[lid] && terms[lid] != v.ids[j]) {
+				t.Fatalf("vector %d component %d: local %d is global %d, was %d", i, j, lid, v.ids[j], terms[lid])
+			}
+			terms[lid], seen[lid] = v.ids[j], true
+		}
+	}
+	for lid := range terms {
+		if !seen[lid] || (lid > 0 && terms[lid-1] >= terms[lid]) {
+			t.Fatalf("local ID %d (global %d): not the ascending union", lid, terms[lid])
+		}
+	}
+	return terms
+}
+
+// TestTermSpaceRenumbersInOrder checks the local space of several corpora,
+// including an empty vector and an empty input.
+func TestTermSpaceRenumbersInOrder(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		idx, ids := randomCorpus(seed, 20+int(seed)*20)
+		vecs := append(vecsOf(idx, ids), newVectorSorted(nil, nil))
+		globalIDs(t, newTermSpace(idx.NumTerms(), vecs), vecs)
+	}
+	if sp := newTermSpace(10, nil); sp.size != 0 || len(sp.vecs) != 0 {
+		t.Fatalf("empty input: size %d, %d vectors", sp.size, len(sp.vecs))
 	}
 }

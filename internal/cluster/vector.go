@@ -14,12 +14,10 @@ package cluster
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/document"
 	"repro/internal/index"
-	"repro/internal/termdict"
 )
 
 // Dict interns the vocabulary of one clustering run. Term IDs are assigned
@@ -282,32 +280,19 @@ func (v *Vector) ToMap(d *Dict) map[string]float64 {
 	return out
 }
 
-// Mean returns the centroid of vs in a dim-dimensional space (the zero
-// vector for empty input). Each component accumulates in input order over an
-// epoch-stamped dense buffer (termdict.DenseScratch — first touch
-// zero-initializes, exactly like a zeroed buffer, preserving the map-backed
-// Add loop's per-term summation order) and emits in ascending ID order
-// scaled by 1/len(vs).
-func Mean(vs []*Vector, dim int) *Vector {
-	if len(vs) == 0 {
-		return newVectorSorted(nil, nil)
-	}
-	var s termdict.DenseScratch
-	s.Reset(dim)
+// Mean returns the centroid of vs (the zero vector for empty input): the
+// merge-join sum of vs in input order, so each component accumulates in
+// input order, scaled by 1/len(vs). It is the sparse reference the k-means
+// centroid update (centroid.setMean) is pinned against.
+func Mean(vs []*Vector) *Vector {
+	out := newVectorSorted(nil, nil)
 	for _, v := range vs {
-		for i, id := range v.ids {
-			s.Add(id, v.ws[i])
-		}
+		out.Add(v)
 	}
-	slices.Sort(s.Touched)
-	f := 1 / float64(len(vs))
-	ids := make([]int32, len(s.Touched))
-	ws := make([]float64, len(s.Touched))
-	for i, id := range s.Touched {
-		ids[i] = id
-		ws[i] = s.Vals[id] * f
+	if len(vs) > 0 {
+		out.Scale(1 / float64(len(vs)))
 	}
-	return newVectorSorted(ids, ws)
+	return out
 }
 
 // TopTerms returns the n highest-weight terms of v, ties broken

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/document"
 	"repro/internal/search"
+	"repro/internal/seedrand"
 )
 
 // SelectionStrategy picks how PEBC generates a sample query that eliminates
@@ -80,7 +81,7 @@ func (a *PEBC) defaults() (nseg, nit int) {
 // Expand implements Expander (Algorithm 2).
 func (a *PEBC) Expand(p *Problem) Expanded {
 	nseg, nit := a.defaults()
-	rng := rand.New(rand.NewSource(a.Seed))
+	rng := seedrand.New(a.Seed)
 
 	type sample struct {
 		x float64

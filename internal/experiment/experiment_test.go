@@ -182,9 +182,21 @@ func TestClusteringTimePositive(t *testing.T) {
 
 func TestFigure7GrowsWithResultCount(t *testing.T) {
 	r, _ := sharedStudy(t)
-	rows := r.Figure7([]int{100, 300, 500})
+	counts := []int{100, 300, 500}
+	// One untimed sweep first: the first point would otherwise also pay the
+	// cold start (corpus generation, caches, heap growth). Then each point
+	// keeps its minimum over three sweeps, so one descheduled sample cannot
+	// invert the comparison.
+	r.Figure7(counts)
+	rows := r.Figure7(counts)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
+	}
+	for sweep := 1; sweep < 3; sweep++ {
+		for i, row := range r.Figure7(counts) {
+			rows[i].ISKR = min(rows[i].ISKR, row.ISKR)
+			rows[i].PEBC = min(rows[i].PEBC, row.PEBC)
+		}
 	}
 	// Loose monotonicity: 500-result runs must cost more than 100-result
 	// runs (the paper reports linear growth; wall-clock is noisy, so only

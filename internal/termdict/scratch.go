@@ -3,15 +3,15 @@ package termdict
 // DenseScratch is an epoch-stamped accumulation buffer over a dense TermID
 // space: a vocabulary-sized []float64 whose cells are invalidated by epoch
 // stamping instead of clearing, so resets are O(1) and repeated accumulations
-// (k-means centroids per iteration, TFICF labels per cluster) do not pay a
-// vocabulary-sized memset each.
+// (TFICF labels per cluster, the vector backend's neighborhood centroid) do
+// not pay a vocabulary-sized memset each.
 //
 // The contract that keeps callers bit-identical to a freshly zeroed buffer:
 // the first Add of a cell in a new epoch zero-initializes it before
 // accumulating, so the value of every touched cell is exactly the sum a fresh
 // buffer would hold, accumulated in the same call order. Touched records the
 // cells in first-touch order; callers that need ascending-ID emission sort it
-// themselves (cluster does; the TFICF labeler deliberately does not).
+// themselves.
 //
 // A DenseScratch is single-goroutine state; share across goroutines via
 // pooling, not concurrently.

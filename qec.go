@@ -546,6 +546,27 @@ func (e *Engine) expandFull(ctx context.Context, raw string, opts ExpandOptions,
 	return out, nil
 }
 
+// ClusteredPipeline returns the Definition 2.2 solver and the k-means
+// options the clustered method m runs with, for at most k clusters under
+// seed: the one Method → solver mapping, shared by the engine and
+// qec-expand. The options are the exact-quality defaults (k-means++, 5
+// restarts); the engine then applies the request's quality and budget.
+// Non-clustered methods map to ISKR.
+func ClusteredPipeline(m Method, k int, seed int64) (core.Expander, cluster.Options) {
+	var solver core.Expander
+	switch m {
+	case PEBC:
+		solver = &core.PEBC{Seed: seed}
+	case DeltaF:
+		solver = &core.FMeasureVariant{}
+	case ORExpansion:
+		solver = &core.ORISKR{}
+	default:
+		solver = &core.ISKR{}
+	}
+	return solver, cluster.Options{K: k, Seed: seed, PlusPlus: true, Restarts: 5}
+}
+
 // clusteredExpander runs the paper's pipeline — core.ClusterExpand: cluster
 // the results, build one Definition 2.2 problem per cluster, solve with the
 // selected core algorithm — behind the Expander interface. It only picks the
@@ -564,22 +585,10 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 	// The core algorithm follows c.method — the dispatch identity, which
 	// backendFor resolved from Method or MethodName — never opts.Method,
 	// which may disagree when MethodName is set.
-	var solver core.Expander
-	switch c.method {
-	case PEBC:
-		solver = &core.PEBC{Seed: e.seed}
-	case DeltaF:
-		solver = &core.FMeasureVariant{}
-	case ORExpansion:
-		solver = &core.ORISKR{}
-	default:
-		solver = &core.ISKR{}
-	}
-	copts := cluster.Options{
-		K: k, Seed: e.seed, PlusPlus: true, Restarts: 5, Quality: opts.Quality,
-		RestartBudget:     opts.RestartBudget,
-		AggressiveAbandon: opts.AggressiveAbandon,
-	}
+	solver, copts := ClusteredPipeline(c.method, k, e.seed)
+	copts.Quality = opts.Quality
+	copts.RestartBudget = opts.RestartBudget
+	copts.AggressiveAbandon = opts.AggressiveAbandon
 	if in.explain != nil {
 		copts.Trail = &cluster.Trail{}
 	}
