@@ -8,6 +8,11 @@
 //	qec-serve -index wiki.idx -stemming
 //	qec-serve -dataset shopping -write-index shop.idx   # build, save, serve
 //
+// A generated corpus is indexed once per process: the engine adopts the
+// index the dataset builds, or, with -stemming, the dataset's corpus with
+// one stemming build. The start-up log times dataset generation (its index
+// included) and that adoption step separately.
+//
 // Repeated expansions of popular queries are served from a sharded LRU cache
 // (-cache) and concurrent identical requests are coalesced into a single
 // computation, so a hot ambiguous query ("apple", "jaguar") costs one
@@ -77,8 +82,9 @@ import (
 	"time"
 
 	qec "repro"
+	"repro/internal/analysis"
 	"repro/internal/dataset"
-	"repro/internal/document"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -149,13 +155,10 @@ func main() {
 		opts = append(opts, qec.WithSynonyms(src))
 	}
 
-	eng, err := loadEngine(*indexPath, *ds, *seed, *scale, opts)
+	eng, err := loadEngine(*indexPath, *ds, *seed, *scale, *stemming, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	start := time.Now()
-	eng.Build()
-	log.Printf("corpus ready: %d documents, index built in %v", eng.Len(), time.Since(start))
 
 	if *writeIndex != "" {
 		f, err := os.Create(*writeIndex)
@@ -256,9 +259,12 @@ func servePprof(addr string) {
 	log.Fatal(http.ListenAndServe(addr, mux))
 }
 
-// loadEngine restores a snapshot when path is set, otherwise fills an engine
-// from a generated dataset.
-func loadEngine(path, ds string, seed int64, scale int, opts []qec.Option) (*qec.Engine, error) {
+// loadEngine restores a snapshot when path is set. Otherwise it generates
+// a dataset, which indexes its corpus with the default analyzer, and the
+// engine adopts that index; with stemming the engine adopts the corpus with
+// one stemming build instead. Each step logs its time.
+func loadEngine(path, ds string, seed int64, scale int, stemming bool, opts []qec.Option) (*qec.Engine, error) {
+	start := time.Now()
 	if path != "" {
 		f, err := os.Open(path)
 		if err != nil {
@@ -269,6 +275,7 @@ func loadEngine(path, ds string, seed int64, scale int, opts []qec.Option) (*qec
 		if err != nil {
 			return nil, err
 		}
+		log.Printf("index snapshot loaded: %d documents in %v", eng.Len(), time.Since(start))
 		return eng, nil
 	}
 
@@ -281,13 +288,14 @@ func loadEngine(path, ds string, seed int64, scale int, opts []qec.Option) (*qec
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want shopping or wikipedia)", ds)
 	}
-	eng := qec.NewEngine(opts...)
-	for _, doc := range d.Corpus.Docs() {
-		if doc.Kind == document.Structured {
-			eng.AddProduct(doc.Title, doc.Triplets)
-		} else {
-			eng.AddText(doc.Title, doc.Body)
-		}
+	log.Printf("dataset %s generated and indexed: %d documents in %v", ds, d.Corpus.Len(), time.Since(start))
+
+	start = time.Now()
+	idx, step := d.Index, "adopted the dataset index"
+	if stemming {
+		idx, step = index.Build(d.Corpus, analysis.Standard()), "built the stemming index"
 	}
+	eng := qec.NewEngineFromIndex(idx, opts...)
+	log.Printf("engine ready: %s in %v", step, time.Since(start))
 	return eng, nil
 }

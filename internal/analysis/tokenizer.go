@@ -9,6 +9,7 @@ package analysis
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single unit produced by the tokenizer. Position is the ordinal
@@ -44,33 +45,44 @@ func isWordRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// Tokenize implements Tokenizer.
+// wordAt reports whether the rune that starts at text[i] is a letter or a
+// digit, and its width in bytes. ASCII is tested directly; anything else is
+// decoded, and an invalid byte decodes to utf8.RuneError (width 1), which is
+// neither, so it separates tokens.
+func wordAt(text string, i int) (bool, int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9', 1
+	}
+	r, size := utf8.DecodeRuneInString(text[i:])
+	return isWordRune(r), size
+}
+
+// Tokenize implements Tokenizer. Each term is a substring of text, so the
+// only allocation is the token slice.
 func (t *LetterDigitTokenizer) Tokenize(text string) []Token {
 	var tokens []Token
-	runes := []rune(text)
-	n := len(runes)
-	pos := 0
-	i := 0
-	for i < n {
-		if !isWordRune(runes[i]) {
-			i++
+	n := len(text)
+	for i := 0; i < n; {
+		start := i
+		word, size := wordAt(text, i)
+		i += size
+		if !word {
 			continue
 		}
-		start := i
 		for i < n {
-			if isWordRune(runes[i]) {
-				i++
+			if word, size := wordAt(text, i); word {
+				i += size
 				continue
 			}
-			if t.KeepInnerPunct && (runes[i] == '-' || runes[i] == '.' || runes[i] == '+') &&
-				i+1 < n && isWordRune(runes[i+1]) && i > start {
-				i++
-				continue
+			if c := text[i]; t.KeepInnerPunct && (c == '-' || c == '.' || c == '+') && i+1 < n {
+				if next, _ := wordAt(text, i+1); next {
+					i++
+					continue
+				}
 			}
 			break
 		}
-		tokens = append(tokens, Token{Term: string(runes[start:i]), Position: pos})
-		pos++
+		tokens = append(tokens, Token{Term: text[start:i], Position: len(tokens)})
 	}
 	return tokens
 }

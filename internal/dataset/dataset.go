@@ -21,6 +21,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline"
@@ -64,24 +65,13 @@ func (d *Dataset) QueryByID(id string) (TestQuery, bool) {
 // pick returns a deterministic pseudo-random element of xs.
 func pick(rng *rand.Rand, xs []string) string { return xs[rng.Intn(len(xs))] }
 
-// sampleWords draws n words from vocab with replacement.
-func sampleWords(rng *rand.Rand, vocab []string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = vocab[rng.Intn(len(vocab))]
+// writeWords draws n words from vocab with replacement and appends each to
+// sb after a space.
+func writeWords(sb *strings.Builder, rng *rand.Rand, vocab []string, n int) {
+	for i := 0; i < n; i++ {
+		sb.WriteByte(' ')
+		sb.WriteString(vocab[rng.Intn(len(vocab))])
 	}
-	return out
-}
-
-func join(ws []string) string {
-	out := ""
-	for i, w := range ws {
-		if i > 0 {
-			out += " "
-		}
-		out += w
-	}
-	return out
 }
 
 // model builds product model names like "px-1500".
@@ -89,18 +79,20 @@ func model(rng *rand.Rand, prefix string) string {
 	return fmt.Sprintf("%s-%d", prefix, 100+rng.Intn(9000))
 }
 
-// properName synthesizes a pronounceable proper name ("velor", "kamin").
+// nameOnsets and nameNuclei are the syllables of writeProperName's
+// pronounceable names ("velor", "kamin").
 var nameOnsets = []string{"b", "d", "f", "g", "h", "k", "l", "m", "n", "p",
 	"r", "s", "t", "v", "w"}
 var nameNuclei = []string{"a", "e", "i", "o", "u", "ar", "el", "in", "or", "an"}
 
-func properName(rng *rand.Rand) string {
+// writeProperName appends a space and a synthesized proper name to sb.
+func writeProperName(sb *strings.Builder, rng *rand.Rand) {
+	sb.WriteByte(' ')
 	n := 2 + rng.Intn(2)
-	out := ""
 	for i := 0; i < n; i++ {
-		out += pick(rng, nameOnsets) + pick(rng, nameNuclei)
+		sb.WriteString(pick(rng, nameOnsets))
+		sb.WriteString(pick(rng, nameNuclei))
 	}
-	return out
 }
 
 // buildIndex finalizes a dataset: indexes the corpus with the given

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -230,4 +231,37 @@ func kmeans(idx *index.Index, docs []document.DocID, opts cluster.Options) *clus
 		vecs[i] = cluster.VectorFromDocGlobal(idx, id)
 	}
 	return cluster.KMeansVecs(idx.NumTerms(), vecs, docs, opts)
+}
+
+// corpusTextHash is an FNV-64a over every document's FullText in ID order,
+// each followed by a NUL, so a change to any document's text or to the
+// document count moves it.
+func corpusTextHash(d *Dataset) uint64 {
+	h := fnv.New64a()
+	for _, doc := range d.Corpus.Docs() {
+		h.Write([]byte(doc.FullText()))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// TestGeneratedTextPinned pins the generated corpora byte for byte, so
+// rewriting how the generators build text cannot change the text or the
+// order of RNG draws behind it.
+func TestGeneratedTextPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		gen  func() *Dataset
+		want uint64
+	}{
+		{"wikipedia/2012/1", func() *Dataset { return Wikipedia(2012, 1) }, 0xee4752741aaa34a3},
+		{"wikipedia/2012/16", func() *Dataset { return Wikipedia(2012, 16) }, 0xf2e85b1c23b591ef},
+		{"shopping/2011/1", func() *Dataset { return Shopping(2011, 1) }, 0x680f9ab33a430668},
+		{"shopping/2011/4", func() *Dataset { return Shopping(2011, 4) }, 0x85d20f88d902b741},
+	}
+	for _, c := range cases {
+		if got := corpusTextHash(c.gen()); got != c.want {
+			t.Errorf("%s: text hash %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline"
@@ -294,8 +295,9 @@ func Shopping(seed int64, scale int) *Dataset {
 		for i := 0; i < n; i++ {
 			brand := pick(rng, fam.brands)
 			name := fmt.Sprintf("%s %s", pick(rng, fam.namePref), model(rng, "m"))
-			title := fmt.Sprintf("%s %s %s %s", fam.titleWords, brand, name,
-				join(sampleWords(rng, marketing, 1+rng.Intn(3))))
+			var title strings.Builder
+			title.WriteString(fam.titleWords + " " + brand + " " + name)
+			writeWords(&title, rng, marketing, 1+rng.Intn(3))
 			triplets := []document.Triplet{
 				{Entity: fam.entity, Attribute: "category", Value: fam.category},
 				{Entity: fam.category, Attribute: "brand", Value: brand},
@@ -308,7 +310,7 @@ func Shopping(seed int64, scale int) *Dataset {
 					Value:     pick(rng, fs.values),
 				})
 			}
-			id := d.Corpus.AddStructured(title, triplets)
+			id := d.Corpus.AddStructured(title.String(), triplets)
 			d.Labels[id] = fam.label
 		}
 	}

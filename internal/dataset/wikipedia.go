@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline"
@@ -121,9 +122,10 @@ func Wikipedia(seed int64, scale int) *Dataset {
 				// Zipf-ish repetition, and ambient noise. Topical words
 				// dominate so senses separate, but ambient overlap keeps
 				// clustering imperfect (as the paper reports).
-				topical := sampleWords(rng, sn.vocab, 10+rng.Intn(8))
-				noise := sampleWords(rng, wikiAmbient, 3+rng.Intn(4))
-				body := tp.query + " " + join(topical) + " " + join(noise)
+				var body strings.Builder
+				body.WriteString(tp.query)
+				writeWords(&body, rng, sn.vocab, 10+rng.Intn(8))
+				writeWords(&body, rng, wikiAmbient, 3+rng.Intn(4))
 				// Cross-sense leakage: real articles mention sibling senses
 				// (a Java-island page mentions coffee; a programming page
 				// mentions Microsoft). Leakage is what makes single-word
@@ -131,7 +133,7 @@ func Wikipedia(seed int64, scale int) *Dataset {
 				// the paper's Section 1 motivates.
 				if len(tp.senses) > 1 && rng.Float64() < 0.35 {
 					other := tp.senses[(si+1+rng.Intn(len(tp.senses)-1))%len(tp.senses)]
-					body += " " + join(sampleWords(rng, other.vocab, 1+rng.Intn(3)))
+					writeWords(&body, rng, other.vocab, 1+rng.Intn(3))
 				}
 				// Occasional single-document burst of a hyper-specific rare
 				// word (real prose is bursty) — the too-specific bait that
@@ -140,7 +142,8 @@ func Wikipedia(seed int64, scale int) *Dataset {
 					w := pick(rng, sn.rare)
 					reps := 4 + rng.Intn(4)
 					for j := 0; j < reps; j++ {
-						body += " " + w
+						body.WriteByte(' ')
+						body.WriteString(w)
 					}
 				}
 				// One or two document-specific proper names (people,
@@ -149,13 +152,14 @@ func Wikipedia(seed int64, scale int) *Dataset {
 				// had 464 distinct keywords.
 				names := 1 + rng.Intn(2)
 				for j := 0; j < names; j++ {
-					body += " " + properName(rng)
+					writeProperName(&body, rng)
 				}
 				// Some documents mention the topic twice (title-style).
 				if rng.Float64() < 0.3 {
-					body += " " + tp.query
+					body.WriteByte(' ')
+					body.WriteString(tp.query)
 				}
-				id := d.Corpus.AddText("", body)
+				id := d.Corpus.AddText("", body.String())
 				d.Labels[id] = tp.query + "/" + sn.name
 			}
 		}

@@ -163,6 +163,11 @@ func (m Method) String() string {
 // sync.Once guards indexing), so concurrent callers race-freely share the one
 // index build. AddText/AddProduct re-arm Build and invalidate the expansion
 // cache, returning the engine to the mutation phase.
+//
+// Ownership: an engine made by NewEngineFromIndex or LoadEngine owns the
+// index's corpus. AddText/AddProduct append to that corpus and re-arm Build
+// over it, so the caller must not use the adopted index (or its corpus)
+// afterwards.
 type Engine struct {
 	corpus   *document.Corpus
 	analyzer *analysis.Analyzer
@@ -299,22 +304,32 @@ func (e *Engine) Save(w io.Writer) error {
 	return e.idx.Save(w)
 }
 
+// NewEngineFromIndex returns an engine over an already-built index, without
+// indexing again: it adopts the index's corpus and analyzer, and Build is a
+// no-op until the corpus changes. Options configure everything else; an
+// analyzer they select is replaced by the index's. The engine takes
+// ownership of the corpus (see Engine).
+func NewEngineFromIndex(idx *index.Index, opts ...Option) *Engine {
+	e := NewEngine(opts...)
+	e.corpus = idx.Corpus()
+	e.analyzer = idx.Analyzer()
+	e.idx = idx
+	e.eng = search.NewEngine(idx)
+	// The index is the built state; burn the Once so a later Build does not
+	// re-index over it.
+	e.buildOnce.Do(func() {})
+	return e
+}
+
 // LoadEngine restores an engine previously written by Save. Options must
 // reproduce the original analyzer configuration (pass WithStemming if the
 // saved engine used it).
 func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
-	e := NewEngine(opts...)
-	idx, err := index.Load(r, e.analyzer)
+	idx, err := index.Load(r, NewEngine(opts...).analyzer)
 	if err != nil {
 		return nil, err
 	}
-	e.corpus = idx.Corpus()
-	e.idx = idx
-	e.eng = search.NewEngine(idx)
-	// The loaded index is the built state; burn the Once so a later Build
-	// does not re-index over it.
-	e.buildOnce.Do(func() {})
-	return e, nil
+	return NewEngineFromIndex(idx, opts...), nil
 }
 
 // ExpandOptions configures Expand.
