@@ -18,10 +18,11 @@ import (
 // concurrency goes through par.For or par.Chunks.
 var goStatementHomes = []string{"internal/par/", "internal/server/", "cmd/"}
 
-// TestNoGoStatementOutsidePar is an architecture ratchet: it parses every
-// non-test Go file of this module (nested modules such as perfbench/ are
-// their own) and fails on any go statement outside goStatementHomes.
-func TestNoGoStatementOutsidePar(t *testing.T) {
+// walkModule parses every Go file of this module — nested modules such as
+// perfbench/ are their own, and testdata/ and dot- or underscore-prefixed
+// directories are skipped — and hands each to visit with its slash path.
+func walkModule(t *testing.T, mode parser.Mode, visit func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -40,18 +41,32 @@ func TestNoGoStatementOutsidePar(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		slash := filepath.ToSlash(path)
-		for _, home := range goStatementHomes {
-			if strings.HasPrefix(slash, home) {
-				return nil
-			}
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, mode|parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		visit(filepath.ToSlash(path), fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoGoStatementOutsidePar is an architecture ratchet: it fails on any go
+// statement in a non-test file of this module outside goStatementHomes.
+func TestNoGoStatementOutsidePar(t *testing.T) {
+	walkModule(t, 0, func(path string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, home := range goStatementHomes {
+			if strings.HasPrefix(path, home) {
+				return
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
@@ -59,9 +74,31 @@ func TestNoGoStatementOutsidePar(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestNoDocIDMapInCore is an architecture ratchet for the one document-set
+// representation: the expansion pipeline in internal/core carries sets as
+// bitsets over a universe's dense IDs, so no non-test file there may spell
+// a map type keyed by document.DocID. Named map types declared elsewhere,
+// such as eval.Weights, are not map type expressions and do not count.
+func TestNoDocIDMapInCore(t *testing.T) {
+	walkModule(t, 0, func(path string, fset *token.FileSet, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/core/") || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			m, ok := n.(*ast.MapType)
+			if !ok {
+				return true
+			}
+			if sel, ok := m.Key.(*ast.SelectorExpr); ok && sel.Sel.Name == "DocID" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "document" {
+					t.Errorf("%s: map keyed by document.DocID in internal/core; use a document.BitSet over the universe's dense IDs",
+						fset.Position(m.Map))
+				}
+			}
+			return true
+		})
+	})
 }

@@ -200,8 +200,8 @@ func main() {
 		sets := cl.Sets()
 		var fs []float64
 		for i, eq := range queries {
-			retrieved := baseline.RetrieveWithin(d.Index, eq, run.Universe.Set)
-			mm := eval.Measure(retrieved, sets[i], run.Universe.Weights)
+			retrieved := baseline.RetrieveWithin(d.Index, eq, run.Universe.Docs())
+			mm := run.Universe.Measure(retrieved, sets[i])
 			fs = append(fs, mm.F)
 			fmt.Printf("q%d: %q  P=%.2f R=%.2f F=%.2f\n", i+1,
 				strings.Join(eq.Terms, ", "), mm.Precision, mm.Recall, mm.F)

@@ -10,8 +10,8 @@
 //     similarity), and
 //  3. generates one expanded query per cluster whose result set is as close
 //     to the cluster as possible, maximizing the rank-weighted F-measure —
-//     using the paper's ISKR or PEBC algorithms (or the exact-but-slow
-//     delta-F variant).
+//     using the paper's ISKR or PEBC algorithms (or the slower greedy
+//     delta-F walk).
 //
 // The expanded queries classify the possible interpretations of an
 // ambiguous or exploratory query: searching "apple" yields one query per
@@ -265,11 +265,11 @@
 // arenas mutually consistent) before it is used. The decode path is fuzzed
 // in CI.
 //
-// The internal packages implement the full substrate described in DESIGN.md:
-// analysis (tokenizer, stopwords, Porter stemmer), index, search, cluster,
-// eval, core (ISKR/PEBC), expander (the flat vector/lexical/orthogonal
-// backends), baseline (Data Clouds, TFICF cluster
-// summarization, query-log suggestion), dataset (synthetic shopping and
+// The internal packages implement the full substrate: analysis (tokenizer,
+// stopwords, Porter stemmer), index, search, cluster, eval, core
+// (ISKR/PEBC), expander (the flat vector/lexical/orthogonal backends),
+// baseline (Data Clouds, TFICF cluster summarization, query-log
+// suggestion), dataset (synthetic shopping and
 // Wikipedia corpora), userstudy (simulated raters), experiment (the
 // figure-regeneration harness), cache (sharded LRU + request coalescing),
 // obs (counters, histograms, traces, Prometheus exposition) and server (the

@@ -2,7 +2,11 @@ package qec_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -39,4 +43,25 @@ func TestDocsMethodConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mdReference matches a Markdown file name in a comment: README.md,
+// docs/EXPANDERS.md and the like.
+var mdReference = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+
+// TestDocReferencesExist fails on a Go comment anywhere in this module that
+// names a Markdown file which does not exist. Names resolve against the
+// module root, the form every reference uses.
+func TestDocReferencesExist(t *testing.T) {
+	walkModule(t, parser.ParseComments, func(path string, fset *token.FileSet, f *ast.File) {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range mdReference.FindAllString(c.Text, -1) {
+					if _, err := os.Stat(name); err != nil {
+						t.Errorf("%s: comment names %s, which does not exist", fset.Position(c.Slash), name)
+					}
+				}
+			}
+		}
+	})
 }

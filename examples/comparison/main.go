@@ -1,6 +1,6 @@
 // Comparison: all six approaches of the paper's evaluation side by side on
-// one query — the two proposed algorithms (ISKR, PEBC), the exact delta-F
-// variant, and the three baselines (CS cluster summarization, Data Clouds,
+// one query — the two proposed algorithms (ISKR, PEBC), the greedy delta-F
+// walk, and the three baselines (CS cluster summarization, Data Clouds,
 // and the query-log "Google" suggester).
 package main
 
@@ -23,8 +23,8 @@ func main() {
 	raw := "eclipse"
 	q := search.ParseQuery(d.Index, raw)
 	results := eng.Search(q, search.And, 30)
-	// The paper's pipeline without a solver: cluster the results and build
-	// one problem per cluster, solved below by each cluster-based method.
+	// The paper's pipeline without a solver clusters the results; one
+	// problem per cluster is then solved below by each cluster-based method.
 	run, err := core.ClusterExpand(context.Background(), core.ClusterInput{
 		Index: d.Index, Query: q, Results: results,
 		Cluster: cluster.Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 5},
@@ -32,8 +32,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	cl, universe, weights := run.Clustering, run.Universe.Set, run.Universe.Weights
+	cl, universe := run.Clustering, run.Universe
 	sets := cl.Sets()
+	problems := universe.Problems(sets)
 
 	show := func(name string, queries []search.Query, scored bool) {
 		fmt.Printf("%-12s", name)
@@ -43,8 +44,8 @@ func main() {
 				if i >= len(sets) {
 					break
 				}
-				retrieved := baseline.RetrieveWithin(d.Index, eq, universe)
-				fs = append(fs, eval.Measure(retrieved, sets[i], weights).F)
+				retrieved := baseline.RetrieveWithin(d.Index, eq, universe.Docs())
+				fs = append(fs, universe.Measure(retrieved, sets[i]).F)
 			}
 			fmt.Printf(" (Eq.1 %.2f)", eval.Score(fs))
 		}
@@ -56,7 +57,7 @@ func main() {
 
 	// Cluster-based approaches.
 	for _, ex := range []core.Expander{&core.ISKR{}, &core.PEBC{Seed: 5}, &core.FMeasureVariant{}} {
-		res := core.Solve(ex, run.Problems)
+		res := core.Solve(ex, problems)
 		fmt.Printf("%-12s (Eq.1 %.2f)\n", ex.Name(), res.Score)
 		for i, ce := range res.Expansions {
 			fmt.Printf("  q%d: %q  F=%.2f\n", i+1,

@@ -24,8 +24,8 @@ func main() {
 	results := eng.Search(q, search.And, 30)
 	fmt.Printf("QW6 'java': top %d of %d docs\n", len(results), d.Corpus.Len())
 
-	// The paper's pipeline without a solver: cluster the results and build
-	// one problem per cluster, then solve the same problems three ways.
+	// The paper's pipeline without a solver clusters the results; one
+	// problem per cluster is then solved three ways.
 	run, err := core.ClusterExpand(context.Background(), core.ClusterInput{
 		Index: d.Index, Query: q, Results: results,
 		Cluster: cluster.Options{K: 3, Seed: 7, PlusPlus: true, Restarts: 5},
@@ -41,12 +41,13 @@ func main() {
 		fmt.Printf("  cluster %d (%d docs): %v\n", i, len(ids), senses)
 	}
 
+	problems := run.Universe.Problems(run.Clustering.Sets())
 	for _, ex := range []core.Expander{
 		&core.ISKR{},
 		&core.PEBC{Seed: 7},
 		&core.FMeasureVariant{},
 	} {
-		res := core.Solve(ex, run.Problems)
+		res := core.Solve(ex, problems)
 		fmt.Printf("\n%s (Eq.1 score %.2f):\n", ex.Name(), res.Score)
 		for i, ce := range res.Expansions {
 			fmt.Printf("  q%d: %-32q F=%.2f\n", i+1,

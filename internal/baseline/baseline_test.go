@@ -154,12 +154,11 @@ func TestCSLowCooccurrenceProblem(t *testing.T) {
 	idx := index.Build(c, analysis.Simple())
 	cl := &cluster.Clustering{
 		Clusters: [][]document.DocID{ids[:4], ids[4:]},
-		Assign: map[document.DocID]int{ids[0]: 0, ids[1]: 0, ids[2]: 0,
-			ids[3]: 0, ids[4]: 1, ids[5]: 1},
+		Assign:   []int{0, 0, 0, 0, 1, 1},
 	}
 	cs := &CS{LabelSize: 2}
 	q := cs.Suggest(idx, cl, search.NewQuery("seed"))[0]
-	got := RetrieveWithin(idx, q, document.NewDocSet(ids...))
+	got := RetrieveWithin(idx, q, ids)
 	if !q.Contains("alpha") || !q.Contains("beta") {
 		t.Skipf("label selection picked %v; critique needs alpha+beta", q.Terms)
 	}
@@ -170,10 +169,10 @@ func TestCSLowCooccurrenceProblem(t *testing.T) {
 
 func TestRetrieveWithinRestrictsToUniverse(t *testing.T) {
 	idx, _, ids := fixture(t)
-	universe := document.NewDocSet(ids[0], ids[1])
+	universe := []document.DocID{ids[0], ids[1]}
 	got := RetrieveWithin(idx, search.NewQuery("apple"), universe)
-	if got.Len() != 2 {
-		t.Errorf("got %d, want 2", got.Len())
+	if got.N() != 2 || got.Len() != 2 {
+		t.Errorf("got %d of a %d-document universe, want 2 of 2", got.Len(), got.N())
 	}
 }
 

@@ -128,20 +128,23 @@ func (c *CS) Suggest(idx *index.Index, cl *cluster.Clustering, uq search.Query) 
 // RetrieveWithin evaluates an arbitrary query against the index under AND
 // semantics and restricts the result to the universe — used to score
 // baseline queries (whose terms need not come from any candidate pool) with
-// the Section 2 measures. Universes are small (top-K result sets), so the
-// membership test runs per universe document against the doc's sorted
-// TermID set; query strings resolve through the dictionary once per call.
-func RetrieveWithin(idx *index.Index, q search.Query, universe document.DocSet) document.DocSet {
+// the Section 2 measures. universe lists the result documents in ascending
+// DocID order (a core.Universe's Docs), and the result is a bitset over
+// positions in it, the universe's dense IDs. Universes are small (top-K
+// result sets), so the membership test runs per universe document against
+// the doc's sorted TermID set; query strings resolve through the dictionary
+// once per call.
+func RetrieveWithin(idx *index.Index, q search.Query, universe []document.DocID) document.BitSet {
+	out := document.NewBitSet(len(universe))
 	tids := make([]termdict.TermID, len(q.Terms))
 	for i, t := range q.Terms {
 		tid, ok := idx.LookupTerm(t)
 		if !ok {
-			return document.DocSet{} // out-of-corpus term: AND matches nothing
+			return out // out-of-corpus term: AND matches nothing
 		}
 		tids[i] = tid
 	}
-	out := document.DocSet{}
-	for id := range universe {
+	for i, id := range universe {
 		all := true
 		for _, tid := range tids {
 			if !idx.HasTermID(id, tid) {
@@ -150,7 +153,7 @@ func RetrieveWithin(idx *index.Index, q search.Query, universe document.DocSet) 
 			}
 		}
 		if all {
-			out.Add(id)
+			out.Add(i)
 		}
 	}
 	return out

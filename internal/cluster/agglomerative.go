@@ -28,7 +28,7 @@ const (
 func Agglomerative(idx *index.Index, docs []document.DocID, k int, linkage Linkage) *Clustering {
 	n := len(docs)
 	if n == 0 {
-		return &Clustering{Assign: map[document.DocID]int{}}
+		return &Clustering{}
 	}
 	if k <= 0 {
 		k = 1

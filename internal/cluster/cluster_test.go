@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -336,10 +337,8 @@ func sameClustering(t *testing.T, label string, a, b *Clustering) {
 			}
 		}
 	}
-	for id, c := range a.Assign {
-		if b.Assign[id] != c {
-			t.Fatalf("%s: Assign[%d] = %d vs %d", label, id, c, b.Assign[id])
-		}
+	if !slices.Equal(a.Assign, b.Assign) {
+		t.Fatalf("%s: Assign %v vs %v", label, a.Assign, b.Assign)
 	}
 }
 
@@ -364,24 +363,45 @@ func TestKMeansSerialVsConcurrentIdentical(t *testing.T) {
 
 func TestKMeansPartitionInvariants(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 12)
-	cl := kmeans(idx, ids, Options{K: 4, Seed: 5, PlusPlus: true})
-	seen := document.NewDocSet()
+	checkPartition(t, kmeans(idx, ids, Options{K: 4, Seed: 5, PlusPlus: true}), ids)
+}
+
+// checkPartition asserts that cl partitions docs into non-empty clusters,
+// that Assign is positional over docs and agrees with Clusters, and that
+// Sets() holds the same partition over those positions.
+func checkPartition(t *testing.T, cl *Clustering, docs []document.DocID) {
+	t.Helper()
+	if len(cl.Assign) != len(docs) {
+		t.Fatalf("assigned %d of %d", len(cl.Assign), len(docs))
+	}
+	pos := make(map[document.DocID]int, len(docs))
+	for i, id := range docs {
+		pos[id] = i
+	}
+	sets := cl.Sets()
+	seen := map[document.DocID]bool{}
 	for ord, cluster := range cl.Clusters {
 		if len(cluster) == 0 {
 			t.Error("empty cluster survived")
 		}
+		if sets[ord].Len() != len(cluster) {
+			t.Errorf("Sets()[%d] has %d members, cluster has %d", ord, sets[ord].Len(), len(cluster))
+		}
 		for _, id := range cluster {
-			if seen.Contains(id) {
+			if seen[id] {
 				t.Errorf("doc %d in two clusters", id)
 			}
-			seen.Add(id)
-			if cl.Assign[id] != ord {
-				t.Errorf("Assign[%d] = %d, want %d", id, cl.Assign[id], ord)
+			seen[id] = true
+			if got := cl.Assign[pos[id]]; got != ord {
+				t.Errorf("Assign of doc %d = %d, want %d", id, got, ord)
+			}
+			if !sets[ord].Contains(pos[id]) {
+				t.Errorf("Sets()[%d] lacks doc %d", ord, id)
 			}
 		}
 	}
-	if seen.Len() != len(ids) {
-		t.Errorf("clustered %d docs, want %d", seen.Len(), len(ids))
+	if len(seen) != len(docs) {
+		t.Errorf("clustered %d docs, want %d", len(seen), len(docs))
 	}
 }
 
@@ -462,7 +482,7 @@ func TestAgglomerativeEdgeCases(t *testing.T) {
 func TestPurityPerfectAndWorst(t *testing.T) {
 	cl := &Clustering{
 		Clusters: [][]document.DocID{{0, 1}, {2, 3}},
-		Assign:   map[document.DocID]int{0: 0, 1: 0, 2: 1, 3: 1},
+		Assign:   []int{0, 0, 1, 1},
 	}
 	perfect := map[document.DocID]string{0: "a", 1: "a", 2: "b", 3: "b"}
 	if p := Purity(cl, perfect); p != 1 {

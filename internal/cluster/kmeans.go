@@ -17,8 +17,9 @@ import (
 type Clustering struct {
 	// Clusters holds the document IDs of each cluster, sorted ascending.
 	Clusters []([]document.DocID)
-	// Assign maps each clustered document to its cluster ordinal.
-	Assign map[document.DocID]int
+	// Assign holds the cluster ordinal of each clustered document, by its
+	// position in the docs slice the clustering ran over.
+	Assign []int
 	// Distortion is the final sum of cosine distances to assigned centroids
 	// (k-means only; 0 for other methods).
 	Distortion float64
@@ -32,11 +33,15 @@ type Clustering struct {
 	Restarts, TotalIterations, AbandonedRestarts int
 }
 
-// Sets returns the clusters as DocSets.
-func (c *Clustering) Sets() []document.DocSet {
-	out := make([]document.DocSet, len(c.Clusters))
-	for i, ids := range c.Clusters {
-		out[i] = document.NewDocSet(ids...)
+// Sets returns the clusters as bitsets over positions in the clustered docs
+// slice — the dense document IDs of the universe the clustering ran over.
+func (c *Clustering) Sets() []document.BitSet {
+	out := make([]document.BitSet, len(c.Clusters))
+	for i := range out {
+		out[i] = document.NewBitSet(len(c.Assign))
+	}
+	for i, ci := range c.Assign {
+		out[ci].Add(i)
 	}
 	return out
 }
@@ -185,7 +190,7 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 	opts.defaults()
 	n := len(docs)
 	if n == 0 {
-		return &Clustering{Assign: map[document.DocID]int{}}
+		return &Clustering{}
 	}
 	restarts := opts.Restarts
 	if restarts < 1 {
@@ -647,17 +652,18 @@ func buildClustering(docs []document.DocID, assign []int, k int, distortion floa
 		c := assign[i]
 		byCluster[c] = append(byCluster[c], id)
 	}
-	out := &Clustering{Assign: make(map[document.DocID]int, len(docs)), Distortion: distortion, Iterations: iters}
-	for _, ids := range byCluster {
+	out := &Clustering{Assign: make([]int, len(docs)), Distortion: distortion, Iterations: iters}
+	ord := make([]int, k)
+	for c, ids := range byCluster {
 		if len(ids) == 0 {
 			continue
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		ord := len(out.Clusters)
+		ord[c] = len(out.Clusters)
 		out.Clusters = append(out.Clusters, ids)
-		for _, id := range ids {
-			out.Assign[id] = ord
-		}
+	}
+	for i, c := range assign {
+		out.Assign[i] = ord[c]
 	}
 	return out
 }

@@ -1,6 +1,11 @@
 package cluster
 
-import "repro/internal/document"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/document"
+)
 
 // Purity measures agreement between a clustering and ground-truth labels:
 // the fraction of documents assigned to the majority label of their cluster.
@@ -31,57 +36,61 @@ func Purity(c *Clustering, labels map[document.DocID]string) float64 {
 
 // Silhouette returns the mean silhouette coefficient of the clustering under
 // cosine distance, in [-1, 1]; higher is better separated. vecs[i] is the
-// vector of docs[i] (the input KMeansVecs took), and the clustering must
-// cover only those documents. Documents in singleton clusters contribute 0.
+// vector of docs[i], and c must be the clustering of exactly those documents
+// (the input KMeansVecs took), so c.Assign is positional over them.
+// Documents in singleton clusters contribute 0.
 func Silhouette(vecs []*Vector, docs []document.DocID, c *Clustering) float64 {
-	var all []document.DocID
-	for _, ids := range c.Clusters {
-		all = append(all, ids...)
-	}
-	if len(all) < 2 || c.K() < 2 {
+	n := len(c.Assign)
+	if n < 2 || c.K() < 2 {
 		return 0
 	}
-	vec := make(map[document.DocID]*Vector, len(docs))
-	for i, id := range docs {
-		vec[id] = vecs[i]
+	// members[ci] lists cluster ci's positions in ascending DocID order, the
+	// order of Clusters[ci], so the distance sums fold in that order.
+	members := make([][]int, c.K())
+	for i, ci := range c.Assign {
+		members[ci] = append(members[ci], i)
 	}
-	meanDist := func(id document.DocID, ids []document.DocID) float64 {
-		total, n := 0.0, 0
-		for _, other := range ids {
-			if other == id {
+	for _, m := range members {
+		slices.SortFunc(m, func(a, b int) int { return cmp.Compare(docs[a], docs[b]) })
+	}
+	meanDist := func(i int, m []int) float64 {
+		total, cnt := 0.0, 0
+		for _, other := range m {
+			if other == i {
 				continue
 			}
-			total += vec[id].CosineDistance(vec[other])
-			n++
+			total += vecs[i].CosineDistance(vecs[other])
+			cnt++
 		}
-		if n == 0 {
+		if cnt == 0 {
 			return 0
 		}
-		return total / float64(n)
+		return total / float64(cnt)
 	}
 	sum := 0.0
-	for _, id := range all {
-		own := c.Assign[id]
-		if len(c.Clusters[own]) < 2 {
+	for own, m := range members {
+		if len(m) < 2 {
 			continue // silhouette of a singleton is defined as 0
 		}
-		a := meanDist(id, c.Clusters[own])
-		b := -1.0
-		for ci, ids := range c.Clusters {
-			if ci == own {
-				continue
+		for _, i := range m {
+			a := meanDist(i, m)
+			b := -1.0
+			for ci, other := range members {
+				if ci == own {
+					continue
+				}
+				if d := meanDist(i, other); b < 0 || d < b {
+					b = d
+				}
 			}
-			if d := meanDist(id, ids); b < 0 || d < b {
-				b = d
+			max := a
+			if b > max {
+				max = b
 			}
-		}
-		max := a
-		if b > max {
-			max = b
-		}
-		if max > 0 {
-			sum += (b - a) / max
+			if max > 0 {
+				sum += (b - a) / max
+			}
 		}
 	}
-	return sum / float64(len(all))
+	return sum / float64(n)
 }

@@ -116,24 +116,7 @@ func TestServingModeFewerRestartsAndConverges(t *testing.T) {
 	idx, ids := randomCorpus(3, 90)
 	cl := kmeans(idx, ids, Options{K: 3, Seed: 5, PlusPlus: true, Restarts: 5,
 		Quality: QualityServing})
-	if len(cl.Assign) != len(ids) {
-		t.Fatalf("assigned %d of %d", len(cl.Assign), len(ids))
-	}
-	seen := document.NewDocSet()
-	for ord, cluster := range cl.Clusters {
-		if len(cluster) == 0 {
-			t.Error("empty cluster survived")
-		}
-		for _, id := range cluster {
-			if seen.Contains(id) {
-				t.Errorf("doc %d in two clusters", id)
-			}
-			seen.Add(id)
-			if cl.Assign[id] != ord {
-				t.Errorf("Assign[%d] = %d, want %d", id, cl.Assign[id], ord)
-			}
-		}
-	}
+	checkPartition(t, cl, ids)
 	if math.IsNaN(cl.Distortion) || math.IsInf(cl.Distortion, 0) {
 		t.Fatalf("bad distortion %v", cl.Distortion)
 	}

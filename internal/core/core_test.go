@@ -17,11 +17,11 @@ import (
 // randomInstance builds the raw material of a random Definition 2.2
 // instance with nc cluster results, nu other results and a keyword
 // vocabulary of size nk.
-func randomInstance(seed int64, nc, nu, nk int, weighted bool) (c, u document.DocSet,
-	contain map[string]document.DocSet, w eval.Weights) {
+func randomInstance(seed int64, nc, nu, nk int, weighted bool) (c, u docSet,
+	contain map[string]docSet, w eval.Weights) {
 
 	rng := rand.New(rand.NewSource(seed))
-	c, u = document.DocSet{}, document.DocSet{}
+	c, u = docSet{}, docSet{}
 	for i := 0; i < nc; i++ {
 		c.Add(document.DocID(i))
 	}
@@ -30,10 +30,10 @@ func randomInstance(seed int64, nc, nu, nk int, weighted bool) (c, u document.Do
 	}
 	universe := c.Union(u)
 	ids := universe.IDs() // iterate deterministically while consuming rng
-	contain = map[string]document.DocSet{}
+	contain = map[string]docSet{}
 	for k := 0; k < nk; k++ {
 		name := string(rune('a'+k%26)) + string(rune('0'+k/26))
-		set := document.DocSet{}
+		set := docSet{}
 		for _, id := range ids {
 			// Bias: cluster docs share keywords more often.
 			pIn := 0.35
@@ -55,10 +55,16 @@ func randomInstance(seed int64, nc, nu, nk int, weighted bool) (c, u document.Do
 	return c, u, contain, w
 }
 
+// randomRef assembles a random Definition 2.2 problem beside its map
+// reference.
+func randomRef(seed int64, nc, nu, nk int, weighted bool) *refProblem {
+	c, u, contain, w := randomInstance(seed, nc, nu, nk, weighted)
+	return newRef(search.NewQuery("seed"), c, u, w, contain)
+}
+
 // randomProblem assembles a random Definition 2.2 problem.
 func randomProblem(seed int64, nc, nu, nk int, weighted bool) *Problem {
-	c, u, contain, w := randomInstance(seed, nc, nu, nk, weighted)
-	return NewProblemFromSets(search.NewQuery("seed"), c, u, w, contain)
+	return randomRef(seed, nc, nu, nk, weighted).p
 }
 
 // prfClose compares PRF structs with a tolerance for floating-point
@@ -84,14 +90,14 @@ func TestValueConventions(t *testing.T) {
 func TestRetrieveIsAntiMonotone(t *testing.T) {
 	p := randomProblem(1, 10, 15, 8, false)
 	q := p.UserQuery
-	prev := p.Retrieve(q)
-	if !prev.Equal(p.Universe) {
+	prev := p.retrieveBits(q)
+	if !prev.Equal(p.allB) {
 		t.Fatal("R(user query) must be the whole universe")
 	}
 	for _, k := range p.Pool[:4] {
 		q = q.With(k)
-		cur := p.Retrieve(q)
-		if cur.Subtract(prev).Len() != 0 {
+		cur := p.retrieveBits(q)
+		if cur.Len() != cur.AndLen(prev) {
 			t.Fatalf("adding %q grew the result set", k)
 		}
 		prev = cur
@@ -100,7 +106,7 @@ func TestRetrieveIsAntiMonotone(t *testing.T) {
 
 func TestRetrieveForeignTermEmpty(t *testing.T) {
 	p := randomProblem(2, 5, 5, 4, false)
-	r := p.Retrieve(p.UserQuery.With("not-in-pool"))
+	r := p.retrieveBits(p.UserQuery.With("not-in-pool"))
 	if r.Len() != 0 {
 		t.Errorf("foreign term retrieved %d docs", r.Len())
 	}
@@ -151,14 +157,14 @@ func TestISKRDeterministic(t *testing.T) {
 
 func TestISKRPerfectSeparationFindsPerfectQuery(t *testing.T) {
 	// One keyword exactly selects the cluster: ISKR must find F=1.
-	c := document.NewDocSet(1, 2, 3)
-	u := document.NewDocSet(10, 11, 12, 13)
-	contain := map[string]document.DocSet{
-		"golden": c.Clone(),                     // exactly the cluster
-		"noise1": document.NewDocSet(1, 10, 11), // partial
-		"noise2": document.NewDocSet(2, 3, 12),  // partial
+	c := newDocSet(1, 2, 3)
+	u := newDocSet(10, 11, 12, 13)
+	contain := map[string]docSet{
+		"golden": c.Clone(),            // exactly the cluster
+		"noise1": newDocSet(1, 10, 11), // partial
+		"noise2": newDocSet(2, 3, 12),  // partial
 	}
-	p := NewProblemFromSets(search.NewQuery("q"), c, u, nil, contain)
+	p := newProblemFromSets(search.NewQuery("q"), c, u, nil, contain)
 	got := (&ISKR{}).Expand(p)
 	if got.PRF.F != 1 {
 		t.Errorf("F = %v, want 1 (golden keyword available); query = %v",
@@ -208,13 +214,13 @@ func TestPEBCDeterministicPerSeed(t *testing.T) {
 }
 
 func TestPEBCPerfectSeparation(t *testing.T) {
-	c := document.NewDocSet(1, 2, 3, 4)
-	u := document.NewDocSet(10, 11, 12)
-	contain := map[string]document.DocSet{
+	c := newDocSet(1, 2, 3, 4)
+	u := newDocSet(10, 11, 12)
+	contain := map[string]docSet{
 		"golden": c.Clone(),
-		"half":   document.NewDocSet(1, 2, 10),
+		"half":   newDocSet(1, 2, 10),
 	}
-	p := NewProblemFromSets(search.NewQuery("q"), c, u, nil, contain)
+	p := newProblemFromSets(search.NewQuery("q"), c, u, nil, contain)
 	got := (&PEBC{Seed: 1}).Expand(p)
 	if got.PRF.F != 1 {
 		t.Errorf("F = %v, want 1; query = %v", got.PRF.F, got.Query.Terms)
@@ -281,7 +287,7 @@ func TestFMeasureVariantRescansEveryKeywordPerStep(t *testing.T) {
 	// Verify by comparing against the full-recompute upper bound.
 	c2, u2, contain2, _ := randomInstance(42, 40, 60, 60, false)
 	contain2["ubiquitous"] = c2.Union(u2)
-	p2 := NewProblemFromSets(search.NewQuery("seed"), c2, u2, nil, contain2)
+	p2 := newProblemFromSets(search.NewQuery("seed"), c2, u2, nil, contain2)
 	is := (&ISKR{}).Expand(p2)
 	fullRecompute := len(p2.Pool) + is.Iterations*(len(p2.Pool)+8)
 	if is.Evaluations >= fullRecompute {
@@ -331,19 +337,20 @@ func TestClusterExpandPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, problems := run.Clustering, run.Problems
-	if run.Result != nil {
-		t.Error("no Solver, yet a result was returned")
+	cl := run.Clustering
+	if run.Result != nil || run.Problems != nil {
+		t.Error("no Solver, yet problems or a result were returned")
 	}
+	problems := run.Universe.Problems(cl.Sets())
 	if len(problems) != cl.K() {
 		t.Fatalf("built %d problems for %d clusters", len(problems), cl.K())
 	}
 	for i, p := range problems {
-		if p.C.Intersect(p.U).Len() != 0 {
+		if p.cB.AndLen(p.uB) != 0 {
 			t.Errorf("problem %d: C and U overlap", i)
 		}
-		if p.Universe.Len() != len(ids) {
-			t.Errorf("problem %d: universe %d docs, want %d", i, p.Universe.Len(), len(ids))
+		if p.allB.Len() != len(ids) || p.cB.Len()+p.uB.Len() != len(ids) {
+			t.Errorf("problem %d: C ∪ U = %d+%d docs, want %d", i, p.cB.Len(), p.uB.Len(), len(ids))
 		}
 		if len(p.Pool) == 0 {
 			t.Errorf("problem %d: empty pool", i)
@@ -370,7 +377,11 @@ func TestNewProblemPoolRespectsBounds(t *testing.T) {
 		ids = append(ids, corpus.AddText("", text))
 	}
 	idx := index.Build(corpus, analysis.Simple())
-	sets := []document.DocSet{document.NewDocSet(ids[:15]...), document.NewDocSet(ids[15:]...)}
+	// ids ascend, so dense ID = position: the first 15 and the last 15.
+	sets := []document.BitSet{document.NewBitSet(len(ids)), document.NewBitSet(len(ids))}
+	for di := range ids {
+		sets[di/15].Add(di)
+	}
 	q := search.NewQuery("seed")
 	p := NewUniverse(idx, q, ids, nil,
 		PoolOptions{TopFraction: 0.2, MinKeywords: 2, MaxKeywords: 5}).Problems(sets)[0]
@@ -388,14 +399,15 @@ func TestWeightedProblemPrioritizesHighRankResults(t *testing.T) {
 	// Two keywords: "heavy" keeps the high-scored half of the cluster,
 	// "light" keeps the low-scored half; both eliminate all of U. With rank
 	// weights the algorithms must prefer "heavy".
-	c := document.NewDocSet(1, 2, 3, 4)
-	u := document.NewDocSet(10, 11)
-	contain := map[string]document.DocSet{
-		"heavy": document.NewDocSet(1, 2),
-		"light": document.NewDocSet(3, 4),
+	c := newDocSet(1, 2, 3, 4)
+	u := newDocSet(10, 11)
+	contain := map[string]docSet{
+		"heavy": newDocSet(1, 2),
+		"light": newDocSet(3, 4),
 	}
 	w := eval.Weights{1: 10, 2: 10, 3: 1, 4: 1, 10: 1, 11: 1}
-	p := NewProblemFromSets(search.NewQuery("q"), c, u, w, contain)
+	ref := newRef(search.NewQuery("q"), c, u, w, contain)
+	p := ref.p
 	got := (&ISKR{}).Expand(p)
 	if got.Query.Contains("light") {
 		t.Errorf("ISKR chose the low-rank keyword: %v", got.Query.Terms)
@@ -404,7 +416,7 @@ func TestWeightedProblemPrioritizesHighRankResults(t *testing.T) {
 		// heavy: benefit 2 (u eliminated), cost 2 (light docs) -> weighted:
 		// benefit = 2, cost = 2 -> value 1, so it may refuse both; either
 		// way "light" (benefit 2, cost 20 -> 0.1) must not be chosen.
-		r := p.Retrieve(got.Query)
+		r := ref.set(p.retrieveBits(got.Query))
 		if r.Contains(3) || r.Contains(4) {
 			t.Error("heavy query should retrieve only the heavy docs")
 		}

@@ -1,41 +1,18 @@
 package core
 
-// Property tests pinning the dense-ID/bitset representation to the map-based
-// DocSet semantics it replaced: on randomized problems, every dense-path
-// result must equal (bit-for-bit where floats are involved) a straightforward
-// reference computation over the public DocSet API.
+// Property tests pinning the dense-ID/bitset Problem to the map-backed
+// reference of reference_test.go: on randomized problems, every dense-path
+// result must equal (bit-for-bit where floats are involved) a
+// straightforward computation over the reference's maps.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/document"
-	"repro/internal/eval"
 	"repro/internal/par"
 	"repro/internal/search"
 )
-
-// refRetrieve recomputes R(q) the pre-bitset way: clone the universe and
-// filter by per-term DocSet membership.
-func refRetrieve(p *Problem, q search.Query) document.DocSet {
-	r := p.Universe.Clone()
-	for _, term := range q.Terms {
-		if p.UserQuery.Contains(term) {
-			continue
-		}
-		set := p.ContainSet(term)
-		if set == nil {
-			return document.DocSet{}
-		}
-		for id := range r {
-			if !set.Contains(id) {
-				r.Remove(id)
-			}
-		}
-	}
-	return r
-}
 
 func randomPoolQuery(p *Problem, rng *rand.Rand) search.Query {
 	q := p.UserQuery
@@ -49,24 +26,18 @@ func randomPoolQuery(p *Problem, rng *rand.Rand) search.Query {
 
 func TestDenseRetrieveMatchesDocSetReference(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		p := randomProblem(seed, 6+int(seed%7), 9+int(seed%5), 12, seed%2 == 0)
+		r := randomRef(seed, 6+int(seed%7), 9+int(seed%5), 12, seed%2 == 0)
+		p := r.p
 		rng := rand.New(rand.NewSource(seed + 100))
 		for trial := 0; trial < 20; trial++ {
 			q := randomPoolQuery(p, rng)
-			if got, want := p.Retrieve(q), refRetrieve(p, q); !got.Equal(want) {
-				t.Fatalf("seed %d: Retrieve(%v) = %v, want %v",
+			if got, want := r.set(p.retrieveBits(q)), r.retrieve(q); !got.Equal(want) {
+				t.Fatalf("seed %d: retrieveBits(%v) = %v, want %v",
 					seed, q.Terms, got.IDs(), want.IDs())
 			}
-			// OR retrieval: union of the term DocSets.
-			wantOR := document.DocSet{}
-			for _, term := range q.Terms {
-				for id := range p.ContainSet(term) {
-					wantOR.Add(id)
-				}
-			}
-			if got := p.RetrieveOR(q); !got.Equal(wantOR) {
-				t.Fatalf("seed %d: RetrieveOR(%v) = %v, want %v",
-					seed, q.Terms, got.IDs(), wantOR.IDs())
+			if got, want := r.set(p.retrieveORBits(q)), r.retrieveOR(q); !got.Equal(want) {
+				t.Fatalf("seed %d: retrieveORBits(%v) = %v, want %v",
+					seed, q.Terms, got.IDs(), want.IDs())
 			}
 		}
 	}
@@ -74,17 +45,23 @@ func TestDenseRetrieveMatchesDocSetReference(t *testing.T) {
 
 func TestDenseMeasureMatchesEvalMeasure(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		p := randomProblem(seed, 6+int(seed%7), 9+int(seed%5), 12, seed%2 == 1)
+		r := randomRef(seed, 6+int(seed%7), 9+int(seed%5), 12, seed%2 == 1)
+		p := r.p
 		rng := rand.New(rand.NewSource(seed + 200))
 		for trial := 0; trial < 20; trial++ {
 			q := randomPoolQuery(p, rng)
 			got := p.Measure(q)
-			want := eval.Measure(refRetrieve(p, q), p.C, p.Weights)
+			want := refMeasure(r.retrieve(q), r.c, r.w)
 			// The reference sums in sorted-ID order, exactly like the dense
 			// fold, so the comparison is exact — not approximate.
 			if got != want {
 				t.Fatalf("seed %d: Measure(%v) = %+v, want %+v (bit-exact)",
 					seed, q.Terms, got, want)
+			}
+			orWant := refMeasure(r.retrieveOR(q), r.c, r.w)
+			if got := p.MeasureOR(q); got != orWant {
+				t.Fatalf("seed %d: MeasureOR(%v) = %+v, want %+v (bit-exact)",
+					seed, q.Terms, got, orWant)
 			}
 		}
 	}
@@ -92,32 +69,16 @@ func TestDenseMeasureMatchesEvalMeasure(t *testing.T) {
 
 func TestDenseBaseTablesMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		p := randomProblem(seed, 8, 12, 14, seed%2 == 0)
+		r := randomRef(seed, 8, 12, 14, seed%2 == 0)
+		p := r.p
 		benefit, cost, count := p.baseTables()
 		for ki, k := range p.Pool {
-			contain := p.ContainSet(k)
-			var b, c float64
-			n := 0
-			for _, id := range p.Universe.IDs() {
-				if contain.Contains(id) {
-					continue
-				}
-				n++
-				w := 1.0
-				if p.Weights != nil {
-					if wv, ok := p.Weights[id]; ok && wv > 0 {
-						w = wv
-					}
-				}
-				if p.U.Contains(id) {
-					b += w
-				} else {
-					c += w
-				}
-			}
-			if benefit[ki] != b || cost[ki] != c || count[ki] != n {
+			// E(k) ∩ Universe: the universe documents k eliminates.
+			elim := r.all.Subtract(r.contain[k])
+			b, c := refS(r.w, elim.Intersect(r.u)), refS(r.w, elim.Subtract(r.u))
+			if benefit[ki] != b || cost[ki] != c || count[ki] != elim.Len() {
 				t.Fatalf("seed %d keyword %q: base table %v/%v/%d, want %v/%v/%d",
-					seed, k, benefit[ki], cost[ki], count[ki], b, c, n)
+					seed, k, benefit[ki], cost[ki], count[ki], b, c, elim.Len())
 			}
 		}
 	}
@@ -125,31 +86,40 @@ func TestDenseBaseTablesMatchReference(t *testing.T) {
 
 func TestDenseSumMatchesWeightsS(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		p := randomProblem(seed, 10, 12, 8, true)
-		if got, want := p.sC, p.Weights.S(p.C); got != want {
+		r := randomRef(seed, 10, 12, 8, true)
+		if got, want := r.p.sC, refS(r.w, r.c); got != want {
 			t.Fatalf("seed %d: sC = %v, want %v", seed, got, want)
 		}
-		if got, want := p.sU, p.Weights.S(p.U); got != want {
+		if got, want := r.p.sU, refS(r.w, r.u); got != want {
 			t.Fatalf("seed %d: sU = %v, want %v", seed, got, want)
 		}
 	}
 }
 
+// TestDenseContainsAgreesWithContainSet checks the dense incidence — C, U
+// and each pool keyword's bitmap — against the reference's maps, document by
+// document in dense-ID order.
 func TestDenseContainsAgreesWithContainSet(t *testing.T) {
-	p := randomProblem(3, 10, 15, 12, false)
-	for _, k := range p.Pool {
-		set := p.ContainSet(k)
-		for _, id := range p.Universe.IDs() {
-			if got, want := p.Contains(id, k), set.Contains(id); got != want {
-				t.Fatalf("Contains(%d, %q) = %t, want %t", id, k, got, want)
+	r := randomRef(3, 10, 15, 12, false)
+	p := r.p
+	if len(r.ids) != p.nDocs() || p.allB.Len() != p.nDocs() {
+		t.Fatalf("universe: %d ids, %d dense docs, %d members", len(r.ids), p.nDocs(), p.allB.Len())
+	}
+	for di, id := range r.ids {
+		if di > 0 && r.ids[di-1] >= id {
+			t.Fatalf("dense IDs not in ascending DocID order at %d", di)
+		}
+		if p.cB.Contains(di) != r.c.Contains(id) || p.uB.Contains(di) != r.u.Contains(id) {
+			t.Fatalf("doc %d: C/U membership disagrees with the reference", id)
+		}
+		for ki, k := range p.Pool {
+			if got, want := p.containB[ki].Contains(di), r.contain[k].Contains(id); got != want {
+				t.Fatalf("contains(%d, %q) = %t, want %t", id, k, got, want)
 			}
 		}
 	}
-	if p.Contains(0, "no-such-keyword") {
-		t.Error("Contains must be false for non-pool keywords")
-	}
-	if p.Contains(999999, p.Pool[0]) {
-		t.Error("Contains must be false for non-universe documents")
+	if _, ok := p.kwID("no-such-keyword"); ok {
+		t.Error("a non-pool keyword must have no keyword ID")
 	}
 }
 

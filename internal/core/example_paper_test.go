@@ -18,25 +18,25 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // cluster C = {R1..R8} (ids 1..8), U = {R1'..R10'} (ids 101..110),
 // keywords job/store/location/fruit with the elimination sets of the table.
 // contain = universe minus elimination set.
-func paperExample() *Problem {
-	c := document.NewDocSet(1, 2, 3, 4, 5, 6, 7, 8)
-	u := document.NewDocSet(101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
+func paperExample() *refProblem {
+	c := newDocSet(1, 2, 3, 4, 5, 6, 7, 8)
+	u := newDocSet(101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
 	universe := c.Union(u)
-	elim := map[string]document.DocSet{
-		"job":      document.NewDocSet(1, 2, 3, 4, 5, 6, 101, 102, 103, 104, 105, 106, 107, 108),
-		"store":    document.NewDocSet(1, 2, 3, 4, 101, 102, 103, 104, 109),
-		"location": document.NewDocSet(2, 3, 4, 5, 105, 106, 107, 108, 110),
-		"fruit":    document.NewDocSet(1, 2, 3, 102, 103, 104),
+	elim := map[string]docSet{
+		"job":      newDocSet(1, 2, 3, 4, 5, 6, 101, 102, 103, 104, 105, 106, 107, 108),
+		"store":    newDocSet(1, 2, 3, 4, 101, 102, 103, 104, 109),
+		"location": newDocSet(2, 3, 4, 5, 105, 106, 107, 108, 110),
+		"fruit":    newDocSet(1, 2, 3, 102, 103, 104),
 	}
-	contain := map[string]document.DocSet{}
+	contain := map[string]docSet{}
 	for k, e := range elim {
 		contain[k] = universe.Subtract(e)
 	}
-	return NewProblemFromSets(search.NewQuery("apple"), c, u, nil, contain)
+	return newRef(search.NewQuery("apple"), c, u, nil, contain)
 }
 
 func TestExample31InitialValues(t *testing.T) {
-	p := paperExample()
+	p := paperExample().p
 	st := &iskrState{p: p, q: p.UserQuery, r: p.allB.Clone()}
 	// Paper's initial table: job 8/6, store 5/4, location 5/4, fruit 3/3.
 	want := map[string][2]float64{
@@ -58,7 +58,8 @@ func TestExample31InitialValues(t *testing.T) {
 }
 
 func TestExample31ValuesAfterAddingJob(t *testing.T) {
-	p := paperExample()
+	ref := paperExample()
+	p := ref.p
 	nk := len(p.Pool)
 	st := &iskrState{
 		p: p, q: p.UserQuery, r: p.allB.Clone(),
@@ -96,14 +97,15 @@ func TestExample31ValuesAfterAddingJob(t *testing.T) {
 		t.Errorf("remove job = %v/%v, want 6/8", b, c)
 	}
 	// R(q) now retrieves R7, R8 in C and R9', R10' in U.
-	wantR := document.NewDocSet(7, 8, 109, 110)
-	if !p.bitsToDocSet(st.r).Equal(wantR) {
-		t.Errorf("R(q) = %v, want %v", p.bitsToDocSet(st.r).IDs(), wantR.IDs())
+	wantR := newDocSet(7, 8, 109, 110)
+	if !ref.set(st.r).Equal(wantR) {
+		t.Errorf("R(q) = %v, want %v", ref.set(st.r).IDs(), wantR.IDs())
 	}
 }
 
 func TestExample32FullISKRRun(t *testing.T) {
-	p := paperExample()
+	ref := paperExample()
+	p := ref.p
 	got := (&ISKR{}).Expand(p)
 	// The paper's run ends with q = {apple, store, location} after job is
 	// added and later removed (Example 3.2).
@@ -117,8 +119,8 @@ func TestExample32FullISKRRun(t *testing.T) {
 		}
 	}
 	// Final result set: {R6, R7, R8} — precision 1, recall 3/8.
-	r := p.Retrieve(got.Query)
-	if !r.Equal(document.NewDocSet(6, 7, 8)) {
+	r := ref.set(p.retrieveBits(got.Query))
+	if !r.Equal(newDocSet(6, 7, 8)) {
 		t.Errorf("R(final) = %v, want {6 7 8}", r.IDs())
 	}
 	if got.PRF.Precision != 1 {
@@ -133,7 +135,7 @@ func TestExample32FullISKRRun(t *testing.T) {
 }
 
 func TestExample32RemovalDisabledKeepsJob(t *testing.T) {
-	p := paperExample()
+	p := paperExample().p
 	got := (&ISKR{DisableRemoval: true}).Expand(p)
 	// Without removal the run cannot drop job; recall stays at 2/8 so F is
 	// strictly lower than the full algorithm's 6/11. (The ablation point.)
@@ -148,26 +150,26 @@ func TestExample32RemovalDisabledKeepsJob(t *testing.T) {
 // 4 keywords with given benefits; each keyword eliminates a disjoint set of
 // results in C with the stated costs.
 func paperExample42() *Problem {
-	u := document.NewDocSet(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	u := newDocSet(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	// C: 13 docs, ids 100.. (k1 eliminates 2, k2 six, k3 one, k4 four —
 	// disjoint per the example).
 	cIDs := []document.DocID{}
 	for i := 100; i < 113; i++ {
 		cIDs = append(cIDs, document.DocID(i))
 	}
-	c := document.NewDocSet(cIDs...)
+	c := newDocSet(cIDs...)
 	universe := c.Union(u)
-	elim := map[string]document.DocSet{
-		"job":      document.NewDocSet(1, 2, 3, 4, 100, 101),                            // benefit 4, cost 2
-		"store":    document.NewDocSet(5, 6, 7, 8, 9, 10, 102, 103, 104, 105, 106, 107), // benefit 6, cost 6
-		"location": document.NewDocSet(3, 4, 8, 108),                                    // benefit 3, cost 1
-		"fruit":    document.NewDocSet(4, 5, 6, 7, 109, 110, 111, 112),                  // benefit 4, cost 4
+	elim := map[string]docSet{
+		"job":      newDocSet(1, 2, 3, 4, 100, 101),                            // benefit 4, cost 2
+		"store":    newDocSet(5, 6, 7, 8, 9, 10, 102, 103, 104, 105, 106, 107), // benefit 6, cost 6
+		"location": newDocSet(3, 4, 8, 108),                                    // benefit 3, cost 1
+		"fruit":    newDocSet(4, 5, 6, 7, 109, 110, 111, 112),                  // benefit 4, cost 4
 	}
-	contain := map[string]document.DocSet{}
+	contain := map[string]docSet{}
 	for k, e := range elim {
 		contain[k] = universe.Subtract(e)
 	}
-	return NewProblemFromSets(search.NewQuery("apple"), c, u, nil, contain)
+	return newProblemFromSets(search.NewQuery("apple"), c, u, nil, contain)
 }
 
 func TestExample42FixedOrderCannotHitSeven(t *testing.T) {
@@ -178,7 +180,7 @@ func TestExample42FixedOrderCannotHitSeven(t *testing.T) {
 	// miss the target (landing on 5 or 10).
 	a := &PEBC{Strategy: SelectFixedOrder}
 	q := a.eliminateFixedOrder(p, 70)
-	elimCount := 10 - p.Retrieve(q).Intersect(p.U).Len()
+	elimCount := 10 - p.retrieveBits(q).AndLen(p.uB)
 	if elimCount == 7 {
 		t.Errorf("fixed-order eliminated exactly 7 — contradicts Example 4.2")
 	}
@@ -198,7 +200,7 @@ func TestExample44SingleResultCanHitSeven(t *testing.T) {
 		st := newElimState(p, 70)
 		_ = st
 		q := a.eliminateSingleResult(p, 70, newRand(seed))
-		if 10-p.Retrieve(q).Intersect(p.U).Len() == 7 {
+		if 10-p.retrieveBits(q).AndLen(p.uB) == 7 {
 			hit = true
 		}
 	}

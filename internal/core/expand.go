@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/cluster"
+	"repro/internal/document"
 	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -66,8 +67,10 @@ type ClusterInput struct {
 	// Cluster configures k-means at the user's granularity (Cluster.K). Its
 	// Ctx is replaced by ClusterExpand's ctx.
 	Cluster cluster.Options
-	// Solver solves each problem (ISKR, PEBC, ...). nil stops after the
-	// problems are built.
+	// Solver solves each problem (ISKR, PEBC, ...). nil stops after
+	// clustering: the run then carries the universe and the clustering but
+	// no problems, and a caller that needs them builds them with
+	// Universe.Problems(Clustering.Sets()).
 	Solver Expander
 	// Interleave, when positive, solves by alternating expansion and
 	// re-assignment for at most this many rounds (see Interleave). The
@@ -81,13 +84,18 @@ type ClusterInput struct {
 }
 
 // ClusterRun is what one ClusterExpand resolved: the shared universe
-// snapshot, the k-means clustering, one Definition 2.2 problem per cluster
-// and the solved QEC instance (nil without a Solver).
+// snapshot, the k-means clustering, the clusters the queries were generated
+// for, one Definition 2.2 problem per cluster and the solved QEC instance
+// (Problems and Result are nil without a Solver).
 type ClusterRun struct {
 	Universe   *Universe
 	Clustering *cluster.Clustering
-	Problems   []*Problem
-	Result     *QECResult
+	// Clusters are the clusters Result's queries were measured against, one
+	// per expansion, as ascending DocIDs: Clustering.Clusters, or with
+	// Interleave the best round's re-assigned clusters.
+	Clusters [][]document.DocID
+	Problems []*Problem
+	Result   *QECResult
 }
 
 // ClusterExpand runs the paper's pipeline over one ranked result set: it
@@ -126,9 +134,12 @@ func ClusterExpand(ctx context.Context, in ClusterInput) (ClusterRun, error) {
 	if err := ctx.Err(); err != nil {
 		return ClusterRun{}, err
 	}
-	run := ClusterRun{Universe: u, Clustering: cl}
+	run := ClusterRun{Universe: u, Clustering: cl, Clusters: cl.Clusters}
+	if in.Solver == nil {
+		return run, nil
+	}
 
-	if in.Solver != nil && in.Interleave > 0 {
+	if in.Interleave > 0 {
 		// The interleaved rounds are accounted wholly to the solve stage.
 		tr.Begin(obs.StageSolve)
 		it := Interleave{Expander: in.Solver, MaxRounds: in.Interleave}
@@ -137,7 +148,7 @@ func ClusterExpand(ctx context.Context, in ClusterInput) (ClusterRun, error) {
 		if err != nil {
 			return ClusterRun{}, err
 		}
-		run.Result = ir.Result
+		run.Clusters, run.Result = ir.Clusters, ir.Result
 		return run, nil
 	}
 
@@ -150,9 +161,6 @@ func ClusterExpand(ctx context.Context, in ClusterInput) (ClusterRun, error) {
 		for _, p := range run.Problems {
 			p.Trail = &Trail{}
 		}
-	}
-	if in.Solver == nil {
-		return run, nil
 	}
 	tr.Begin(obs.StageSolve)
 	res, err := SolveCtx(ctx, in.Solver, run.Problems)

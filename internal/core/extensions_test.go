@@ -12,7 +12,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cluster"
 	"repro/internal/document"
-	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/search"
 )
@@ -20,14 +19,14 @@ import (
 func TestORISKRPerfectCover(t *testing.T) {
 	// Two keywords jointly cover the cluster exactly; OR-ISKR must find
 	// them and score F=1.
-	c := document.NewDocSet(1, 2, 3, 4)
-	u := document.NewDocSet(10, 11, 12)
-	contain := map[string]document.DocSet{
-		"left":  document.NewDocSet(1, 2),
-		"right": document.NewDocSet(3, 4),
-		"bad":   document.NewDocSet(1, 10, 11, 12),
+	c := newDocSet(1, 2, 3, 4)
+	u := newDocSet(10, 11, 12)
+	contain := map[string]docSet{
+		"left":  newDocSet(1, 2),
+		"right": newDocSet(3, 4),
+		"bad":   newDocSet(1, 10, 11, 12),
 	}
-	p := NewProblemFromSets(search.NewQuery("seed"), c, u, nil, contain)
+	p := newProblemFromSets(search.NewQuery("seed"), c, u, nil, contain)
 	got := (&ORISKR{}).Expand(p)
 	if got.PRF.F != 1 {
 		t.Fatalf("F = %v, query = %v", got.PRF.F, got.Query.Terms)
@@ -40,14 +39,14 @@ func TestORISKRPerfectCover(t *testing.T) {
 func TestORISKRRemovalHelps(t *testing.T) {
 	// "wide" covers most of C but drags in U; adding the two precise
 	// keywords afterwards makes "wide" removable.
-	c := document.NewDocSet(1, 2, 3, 4, 5, 6)
-	u := document.NewDocSet(10, 11)
-	contain := map[string]document.DocSet{
-		"wide":  document.NewDocSet(1, 2, 3, 4, 5, 10, 11),
-		"left":  document.NewDocSet(1, 2, 3),
-		"right": document.NewDocSet(4, 5, 6),
+	c := newDocSet(1, 2, 3, 4, 5, 6)
+	u := newDocSet(10, 11)
+	contain := map[string]docSet{
+		"wide":  newDocSet(1, 2, 3, 4, 5, 10, 11),
+		"left":  newDocSet(1, 2, 3),
+		"right": newDocSet(4, 5, 6),
 	}
-	p := NewProblemFromSets(search.NewQuery("seed"), c, u, nil, contain)
+	p := newProblemFromSets(search.NewQuery("seed"), c, u, nil, contain)
 	got := (&ORISKR{}).Expand(p)
 	if got.Query.Contains("wide") {
 		t.Errorf("query %v retains the imprecise keyword", got.Query.Terms)
@@ -74,14 +73,14 @@ func TestORISKRTerminatesOnRandomInstances(t *testing.T) {
 func TestRetrieveORIsMonotone(t *testing.T) {
 	p := randomProblem(7, 8, 10, 8, false)
 	q := search.NewQuery()
-	prev := p.RetrieveOR(q)
+	prev := p.retrieveORBits(q)
 	if prev.Len() != 0 {
 		t.Fatal("empty OR query should retrieve nothing")
 	}
 	for _, k := range p.Pool[:5] {
 		q = q.With(k)
-		cur := p.RetrieveOR(q)
-		if prev.Subtract(cur).Len() != 0 {
+		cur := p.retrieveORBits(q)
+		if prev.AndLen(cur) != prev.Len() {
 			t.Fatalf("OR retrieval shrank when adding %q", k)
 		}
 		prev = cur
@@ -104,18 +103,14 @@ func interleaveFixture(t *testing.T) (*index.Index, search.Query, *cluster.Clust
 		ids = append(ids, corpus.AddText("", txt))
 	}
 	idx := index.Build(corpus, analysis.Simple())
-	// Wrong split: one fruit doc stranded in the tech cluster.
+	// Wrong split: one fruit doc stranded in the tech cluster. The ids
+	// ascend, so Assign's positions are the universe's dense IDs.
 	bad := &cluster.Clustering{
 		Clusters: [][]document.DocID{
 			{ids[0], ids[1], ids[2]},
 			{ids[3], ids[4], ids[5], ids[6], ids[7]},
 		},
-		Assign: map[document.DocID]int{},
-	}
-	for i, idsl := range bad.Clusters {
-		for _, id := range idsl {
-			bad.Assign[id] = i
-		}
+		Assign: []int{0, 0, 0, 1, 1, 1, 1, 1},
 	}
 	return idx, search.NewQuery("apple"), bad, ids
 }
@@ -155,9 +150,12 @@ func TestInterleaveClustersPartitionUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := document.DocSet{}
+	if len(res.Clusters) != len(res.Result.Expansions) {
+		t.Fatalf("%d clusters for %d expansions", len(res.Clusters), len(res.Result.Expansions))
+	}
+	seen := docSet{}
 	for _, s := range res.Clusters {
-		for id := range s {
+		for _, id := range s {
 			if seen.Contains(id) {
 				t.Fatalf("doc %d in two clusters", id)
 			}
@@ -212,5 +210,3 @@ func TestInterleaveHonoursContext(t *testing.T) {
 		t.Errorf("cancelled Run solved %d clusters, more than one round of %d", n, k)
 	}
 }
-
-var _ = eval.Weights{} // keep the import for fixtures below

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/document"
@@ -22,10 +23,13 @@ type Interleave struct {
 	MaxRounds int
 }
 
-// InterleaveResult is the converged outcome.
+// InterleaveResult is the converged outcome: the best round's QEC result
+// and the clusters its queries were generated for — the clusters its P/R
+// were measured against, one per Result.Expansions entry, each as ascending
+// DocIDs.
 type InterleaveResult struct {
 	Result   *QECResult
-	Clusters []document.DocSet
+	Clusters [][]document.DocID
 	Rounds   int
 }
 
@@ -43,11 +47,12 @@ func (it *Interleave) Run(ctx context.Context, u *Universe, cl *cluster.Clusteri
 	if maxRounds <= 0 {
 		maxRounds = 5
 	}
+	n := len(u.Docs())
+	// Each round builds fresh sets, so a round's problems may keep theirs.
 	sets := cl.Sets()
-	universe := u.Set
 
 	var best *QECResult
-	bestSets := sets
+	var bestSets []document.BitSet
 	rounds := 0
 	for round := 0; round < maxRounds; round++ {
 		rounds = round + 1
@@ -57,30 +62,29 @@ func (it *Interleave) Run(ctx context.Context, u *Universe, cl *cluster.Clusteri
 			return nil, err
 		}
 		if best == nil || res.Score > best.Score {
-			best = res
-			bestSets = cloneSets(sets)
+			best, bestSets = res, sets
 		}
 		// Re-assign: each result goes to the cluster whose expanded query
 		// retrieves it; results retrieved by several queries go to the one
 		// whose cluster they already belong to if possible, else the first.
-		newSets := make([]document.DocSet, len(sets))
-		for i := range newSets {
-			newSets[i] = document.DocSet{}
-		}
-		retrieved := make([]document.DocSet, len(sets))
+		retrieved := make([]document.BitSet, len(sets))
 		for i, p := range problems {
-			retrieved[i] = p.Retrieve(res.Expansions[i].Expanded.Query)
+			retrieved[i] = p.retrieveBits(res.Expansions[i].Expanded.Query)
 		}
-		for id := range universe {
+		newSets := make([]document.BitSet, len(sets))
+		for i := range newSets {
+			newSets[i] = document.NewBitSet(n)
+		}
+		for di := 0; di < n; di++ {
 			target := -1
 			for i, r := range retrieved {
-				if !r.Contains(id) {
+				if !r.Contains(di) {
 					continue
 				}
 				if target < 0 {
 					target = i
 				}
-				if sets[i].Contains(id) {
+				if sets[i].Contains(di) {
 					target = i
 					break
 				}
@@ -88,46 +92,25 @@ func (it *Interleave) Run(ctx context.Context, u *Universe, cl *cluster.Clusteri
 			if target < 0 {
 				// Unretrieved by every query: keep the current cluster.
 				for i, s := range sets {
-					if s.Contains(id) {
+					if s.Contains(di) {
 						target = i
 						break
 					}
 				}
 			}
-			newSets[target].Add(id)
+			newSets[target].Add(di)
 		}
 		// Drop emptied clusters.
-		compact := newSets[:0]
-		for _, s := range newSets {
-			if s.Len() > 0 {
-				compact = append(compact, s)
-			}
-		}
-		newSets = compact
-		if setsEqual(sets, newSets) {
+		newSets = slices.DeleteFunc(newSets, document.BitSet.Empty)
+		if slices.EqualFunc(sets, newSets, document.BitSet.Equal) {
 			break
 		}
 		sets = newSets
 	}
-	return &InterleaveResult{Result: best, Clusters: bestSets, Rounds: rounds}, nil
-}
-
-func cloneSets(sets []document.DocSet) []document.DocSet {
-	out := make([]document.DocSet, len(sets))
-	for i, s := range sets {
-		out[i] = s.Clone()
+	clusters := make([][]document.DocID, len(bestSets))
+	for i, s := range bestSets {
+		clusters[i] = make([]document.DocID, 0, s.Len())
+		s.ForEach(func(di int) { clusters[i] = append(clusters[i], u.docs[di]) })
 	}
-	return out
-}
-
-func setsEqual(a, b []document.DocSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
+	return &InterleaveResult{Result: best, Clusters: clusters, Rounds: rounds}, nil
 }

@@ -407,18 +407,17 @@ func (a *PEBC) eliminateSubset(p *Problem, x float64, rng *rand.Rand) search.Que
 	if st.target <= 0 || st.totalU == 0 {
 		return st.q
 	}
-	// Randomly select S. The shuffle consumes the rng over DocIDs exactly as
-	// the map-era implementation did (U.IDs() is ascending DocID order).
-	ids := p.U.IDs()
+	// Randomly select S. The shuffle runs over U's dense IDs in ascending
+	// order — the same length and order as U's sorted DocIDs — so it makes
+	// the same rng draws and picks the same documents.
+	ids := p.uB.IDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	selected := st.aux
 	var got float64
-	for _, id := range ids {
+	for _, di := range ids {
 		if got >= st.target {
 			break
 		}
-		dense, _ := p.denseID(id)
-		di := int(dense)
 		selected.Add(di)
 		got += p.weightAt(di)
 	}

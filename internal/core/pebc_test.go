@@ -20,9 +20,10 @@ func eliminationError(t *testing.T, p *Problem, strategy SelectionStrategy, x fl
 	a := &PEBC{Strategy: strategy, Seed: seed}
 	rng := rand.New(rand.NewSource(seed))
 	q := a.partialElimination(p, x, rng)
-	remaining := p.Retrieve(q).Intersect(p.U)
-	eliminated := p.S(p.U) - p.S(remaining)
-	return math.Abs(eliminated/p.S(p.U)*100 - x)
+	remaining := p.retrieveBits(q)
+	remaining.And(p.uB)
+	eliminated := p.sU - p.sumBits(remaining)
+	return math.Abs(eliminated/p.sU*100 - x)
 }
 
 // lumpyProblem builds a scaled Example 4.2 family: few keywords with lumpy,
@@ -31,19 +32,19 @@ func eliminationError(t *testing.T, p *Problem, strategy SelectionStrategy, x fl
 // while per-result random selection can combine sets differently per
 // target. This is the regime the paper's rejection of §4.1 is about.
 func lumpyProblem(scale int) *Problem {
-	u := document.DocSet{}
+	u := docSet{}
 	for i := 0; i < 10*scale; i++ {
 		u.Add(document.DocID(i))
 	}
-	cIDs := document.DocSet{}
+	cIDs := docSet{}
 	for i := 0; i < 13*scale; i++ {
 		cIDs.Add(document.DocID(1000 + i))
 	}
 	universe := u.Union(cIDs)
 	// Scaled copies of Example 4.2's elimination sets.
-	elim := map[string]document.DocSet{}
+	elim := map[string]docSet{}
 	addElim := func(name string, uFrom, uTo, cFrom, cTo int) {
-		set := document.DocSet{}
+		set := docSet{}
 		for i := uFrom * scale; i < uTo*scale; i++ {
 			set.Add(document.DocID(i))
 		}
@@ -56,11 +57,11 @@ func lumpyProblem(scale int) *Problem {
 	addElim("store", 4, 10, 2, 8)   // benefit 6s, cost 6s
 	addElim("location", 2, 4, 8, 9) // overlaps job's U range; cost 1s
 	addElim("fruit", 3, 7, 9, 13)   // spans both; cost 4s
-	contain := map[string]document.DocSet{}
+	contain := map[string]docSet{}
 	for k, e := range elim {
 		contain[k] = universe.Subtract(e)
 	}
-	return NewProblemFromSets(search.NewQuery("seed"), cIDs, u, nil, contain)
+	return newProblemFromSets(search.NewQuery("seed"), cIDs, u, nil, contain)
 }
 
 func TestSingleResultHitsTargetsBetterThanFixedOrder(t *testing.T) {
@@ -94,7 +95,7 @@ func TestSingleResultTargetingIsUsable(t *testing.T) {
 	n := 0
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(500 + seed))
-		c, u := document.DocSet{}, document.DocSet{}
+		c, u := docSet{}, docSet{}
 		for i := 0; i < 12; i++ {
 			c.Add(document.DocID(i))
 		}
@@ -102,10 +103,10 @@ func TestSingleResultTargetingIsUsable(t *testing.T) {
 			u.Add(document.DocID(1000 + i))
 		}
 		ids := c.Union(u).IDs()
-		contain := map[string]document.DocSet{}
+		contain := map[string]docSet{}
 		for k := 0; k < 16; k++ {
 			name := string(rune('a' + k))
-			set := document.DocSet{}
+			set := docSet{}
 			for _, id := range ids {
 				if rng.Float64() < 0.85 {
 					set.Add(id)
@@ -113,7 +114,7 @@ func TestSingleResultTargetingIsUsable(t *testing.T) {
 			}
 			contain[name] = set
 		}
-		p := NewProblemFromSets(search.NewQuery("seed"), c, u, nil, contain)
+		p := newProblemFromSets(search.NewQuery("seed"), c, u, nil, contain)
 		for _, x := range []float64{30, 50, 70} {
 			total += eliminationError(t, p, SelectSingleResult, x, seed)
 			n++
@@ -140,11 +141,11 @@ func TestPartialEliminationFullTargetEliminatesMost(t *testing.T) {
 	p := randomProblem(6, 10, 16, 12, false)
 	a := &PEBC{Seed: 1}
 	q := a.eliminateSingleResult(p, 100, rand.New(rand.NewSource(1)))
-	remaining := p.Retrieve(q).Intersect(p.U)
+	remaining := p.retrieveBits(q).AndLen(p.uB)
 	// x=100 should eliminate (nearly) everything that the keyword pool can
 	// eliminate.
-	if float64(remaining.Len()) > 0.3*float64(p.U.Len()) {
-		t.Errorf("x=100 left %d of %d U-results", remaining.Len(), p.U.Len())
+	if float64(remaining) > 0.3*float64(p.uB.Len()) {
+		t.Errorf("x=100 left %d of %d U-results", remaining, p.uB.Len())
 	}
 }
 
@@ -173,8 +174,7 @@ func TestPEBCSubsetStrategyCoversSelectedResults(t *testing.T) {
 	p := randomProblem(9, 10, 16, 12, false)
 	a := &PEBC{Strategy: SelectSubset, Seed: 4}
 	q := a.eliminateSubset(p, 50, rand.New(rand.NewSource(4)))
-	remaining := p.Retrieve(q).Intersect(p.U)
-	if remaining.Len() == p.U.Len() {
+	if p.retrieveBits(q).AndLen(p.uB) == p.uB.Len() {
 		t.Error("subset strategy eliminated nothing at x=50")
 	}
 }
@@ -210,9 +210,9 @@ func TestPEBCZoomNarrowsInterval(t *testing.T) {
 func TestPEBCEmptyUniverseU(t *testing.T) {
 	// A cluster that IS the whole universe (U empty): PEBC degenerates to
 	// the seed query with F=1.
-	c := document.NewDocSet(1, 2, 3)
-	contain := map[string]document.DocSet{"k": document.NewDocSet(1)}
-	p := NewProblemFromSets(search.NewQuery("seed"), c, document.DocSet{}, nil, contain)
+	c := newDocSet(1, 2, 3)
+	contain := map[string]docSet{"k": newDocSet(1)}
+	p := newProblemFromSets(search.NewQuery("seed"), c, docSet{}, nil, contain)
 	got := (&PEBC{Seed: 1}).Expand(p)
 	if got.PRF.F != 1 {
 		t.Errorf("F = %v with empty U", got.PRF.F)
@@ -220,9 +220,9 @@ func TestPEBCEmptyUniverseU(t *testing.T) {
 }
 
 func TestISKREmptyPool(t *testing.T) {
-	c := document.NewDocSet(1, 2)
-	u := document.NewDocSet(3)
-	p := NewProblemFromSets(search.NewQuery("seed"), c, u, nil, nil)
+	c := newDocSet(1, 2)
+	u := newDocSet(3)
+	p := newProblemFromSets(search.NewQuery("seed"), c, u, nil, nil)
 	got := (&ISKR{}).Expand(p)
 	if got.Query.String() != "seed" {
 		t.Errorf("empty pool produced %v", got.Query.Terms)

@@ -7,16 +7,18 @@
 // variant and the rejected PEBC keyword-selection strategies (§4.1, §4.2)
 // used for ablation.
 //
-// Internally every Problem works in a problem-local dense ID space: the
-// universe documents are mapped to 0..n-1 in ascending DocID order, pool
-// keywords are interned to int32 IDs in lexicographic (= Pool slice) order,
-// keyword→document incidence is stored as per-keyword bitmaps, and the
-// benefit/cost/count tables are flat slices indexed by keyword ID. Set
-// algebra in the algorithms is therefore word-wise bitset arithmetic, and
-// every floating-point accumulation folds members in ascending dense-ID
-// order — exactly the sorted-DocID order the map-backed implementation used
-// — so outputs are bit-identical for fixed seeds (pinned by the expansion
-// golden test in internal/experiment).
+// One document-set representation runs from clustering to the solvers: a
+// Universe lists the request's results in ascending DocID order, a
+// document's dense ID is its position there, and every set — a k-means
+// cluster (cluster.Clustering.Sets), a Problem's C and U, a retrieved R(q)
+// — is a document.BitSet over those positions. Pool keywords are interned to
+// int32 IDs in lexicographic (= Pool slice) order, keyword→document
+// incidence is stored as per-keyword bitmaps, and the benefit/cost/count
+// tables are flat slices indexed by keyword ID. Set algebra in the
+// algorithms is therefore word-wise bitset arithmetic, and every
+// floating-point accumulation folds members in ascending dense-ID order —
+// the sorted-DocID order — so outputs are bit-identical for fixed seeds
+// (pinned by the expansion golden test in internal/experiment).
 package core
 
 import (
@@ -36,14 +38,12 @@ import (
 
 // Problem is one instance of Definition 2.2: a user query, a target cluster
 // C, the set U of results in all other clusters, and optional ranking
-// weights. All candidate keywords and incidence structures are precomputed
-// so the algorithms can evaluate R(q) restricted to the universe cheaply.
+// weights. C and U are bitsets over the universe's dense document IDs (see
+// Universe); all candidate keywords and incidence structures are
+// precomputed so the algorithms can evaluate R(q) restricted to the
+// universe cheaply.
 type Problem struct {
 	UserQuery search.Query
-	C         document.DocSet // the cluster (ground truth)
-	U         document.DocSet // results in all other clusters
-	Universe  document.DocSet // C ∪ U
-	Weights   eval.Weights    // nil = unranked
 
 	// Pool is the candidate keyword vocabulary (the paper's setup: the
 	// top-20% of result words by tfidf), excluding the user query's own
@@ -57,12 +57,9 @@ type Problem struct {
 	// nothing and costs nothing; see Trail for the bit-identity contract.
 	Trail *Trail
 
-	// Dense ID space: docs lists the universe in ascending DocID order (the
-	// dense doc ID is the position; denseID inverts it by binary search) and
-	// w holds the per-document ranking weight (nil when unranked; missing or
-	// non-positive Weights entries already resolved to 1).
-	docs []document.DocID
-	w    []float64
+	// w holds the ranking weight of each dense document (nil when unranked;
+	// missing or non-positive weights already resolved to 1).
+	w []float64
 
 	// containB[k] is the bitmap of universe documents containing pool
 	// keyword k (keyword IDs are positions in the sorted Pool; kwID inverts
@@ -80,8 +77,8 @@ type Problem struct {
 	// same Problem each see a private cache (a loser simply starts cold).
 	resolver atomic.Pointer[queryResolver]
 
-	// cB/uB/allB are the dense C, U and universe memberships; sC and sU
-	// cache S(C) and S(U), constant per problem.
+	// cB/uB/allB are C, U and the universe C ∪ U; sC and sU cache S(C) and
+	// S(U), constant per problem.
 	cB, uB, allB document.BitSet
 	sC, sU       float64
 
@@ -94,56 +91,14 @@ type Problem struct {
 	baseCount   []int
 }
 
-// initDense builds the dense doc space and empty incidence bitmaps; callers
-// fill containB afterwards. Pool must already be sorted.
-func (p *Problem) initDense() {
-	ids := p.Universe.IDs() // ascending: dense ID order = DocID order
-	p.docs = ids
-	n := len(ids)
-	if p.Weights != nil {
-		p.w = make([]float64, n)
-		for i, id := range ids {
-			if wv, ok := p.Weights[id]; ok && wv > 0 {
-				p.w[i] = wv
-			} else {
-				p.w[i] = 1
-			}
-		}
-	}
-	p.cB, p.uB, p.allB = document.NewBitSet(n), document.NewBitSet(n), document.FullBitSet(n)
-	for i, id := range ids {
-		if p.C.Contains(id) {
-			p.cB.Add(i)
-		}
-		if p.U.Contains(id) {
-			p.uB.Add(i)
-		}
-	}
-	p.sC, p.sU = p.sumBits(p.cB), p.sumBits(p.uB)
-	p.containB = make([]document.BitSet, len(p.Pool))
-	for ki := range p.Pool {
-		p.containB[ki] = document.NewBitSet(n)
-	}
-}
-
 // nDocs returns the universe size (the dense doc ID bound).
-func (p *Problem) nDocs() int { return len(p.docs) }
+func (p *Problem) nDocs() int { return p.allB.N() }
 
 // kwID returns the dense keyword ID of k — its position in the sorted Pool —
 // by binary search. No map is kept: the Pool is small and already sorted.
 func (p *Problem) kwID(k string) (int32, bool) {
 	i := sort.SearchStrings(p.Pool, k)
 	if i < len(p.Pool) && p.Pool[i] == k {
-		return int32(i), true
-	}
-	return 0, false
-}
-
-// denseID returns the dense doc ID of a universe document, by binary search
-// over the ascending docs slice.
-func (p *Problem) denseID(id document.DocID) (int32, bool) {
-	i := sort.Search(len(p.docs), func(i int) bool { return p.docs[i] >= id })
-	if i < len(p.docs) && p.docs[i] == id {
 		return int32(i), true
 	}
 	return 0, false
@@ -171,13 +126,6 @@ func (p *Problem) weightAt(di int) float64 {
 		return 1
 	}
 	return p.w[di]
-}
-
-// bitsToDocSet converts a dense set back to the public DocSet form.
-func (p *Problem) bitsToDocSet(b document.BitSet) document.DocSet {
-	out := make(document.DocSet, b.Len())
-	b.ForEach(func(di int) { out.Add(p.docs[di]) })
-	return out
 }
 
 // baseTables lazily computes the initial benefit/cost/count tables, indexed
@@ -305,60 +253,6 @@ func ScorePool(idx *index.Index, userQuery search.Query, universeIDs []document.
 	return pool
 }
 
-// NewProblemFromSets assembles a Problem directly from keyword→document
-// incidence, bypassing the index. contain maps each candidate keyword to the
-// set of universe documents containing it; every universe document is
-// assumed to contain the user query's own keywords (it is one of its
-// results). Used by tests (to encode the paper's worked examples exactly)
-// and by callers with non-index substrates.
-func NewProblemFromSets(userQuery search.Query, c, u document.DocSet,
-	weights eval.Weights, contain map[string]document.DocSet) *Problem {
-
-	p := &Problem{
-		UserQuery: userQuery,
-		C:         c,
-		U:         u,
-		Universe:  c.Union(u),
-		Weights:   weights,
-	}
-	p.Pool = make([]string, 0, len(contain))
-	for k := range contain {
-		p.Pool = append(p.Pool, k)
-	}
-	sort.Strings(p.Pool)
-	p.initDense()
-	for k, set := range contain {
-		ki, _ := p.kwID(k)
-		for id := range set {
-			if di, ok := p.denseID(id); ok {
-				p.containB[ki].Add(int(di))
-			}
-		}
-	}
-	return p
-}
-
-// Contains reports whether universe document id contains keyword k. Keywords
-// outside the pool are reported as not contained (they are never candidates).
-func (p *Problem) Contains(id document.DocID, k string) bool {
-	ki, ok := p.kwID(k)
-	if !ok {
-		return false
-	}
-	di, ok := p.denseID(id)
-	return ok && p.containB[ki].Contains(int(di))
-}
-
-// ContainSet returns the universe documents containing pool keyword k, as a
-// freshly materialized DocSet (the incidence itself is stored as bitmaps).
-func (p *Problem) ContainSet(k string) document.DocSet {
-	ki, ok := p.kwID(k)
-	if !ok {
-		return nil
-	}
-	return p.bitsToDocSet(p.containB[ki])
-}
-
 // queryResolver caches the keyword-ID resolution — and the running
 // intersection — of one incrementally built candidate query. terms holds the
 // last resolved term sequence and bufs[i] the intersection R(terms[:i+1])
@@ -462,11 +356,6 @@ func (p *Problem) retrieveBits(q search.Query) document.BitSet {
 	return r
 }
 
-// Retrieve computes R(q) restricted to the universe as a DocSet.
-func (p *Problem) Retrieve(q search.Query) document.DocSet {
-	return p.bitsToDocSet(p.retrieveBits(q))
-}
-
 // measureBits evaluates a dense retrieved set against the cluster.
 func (p *Problem) measureBits(r document.BitSet) eval.PRF {
 	return eval.MeasureBits(r, p.cB, p.w, p.sC)
@@ -505,18 +394,10 @@ func (p *Problem) retrieveORBits(q search.Query) document.BitSet {
 	return out
 }
 
-// RetrieveOR computes R(q) under OR semantics restricted to the universe.
-func (p *Problem) RetrieveOR(q search.Query) document.DocSet {
-	return p.bitsToDocSet(p.retrieveORBits(q))
-}
-
 // MeasureOR evaluates a candidate query under OR semantics.
 func (p *Problem) MeasureOR(q search.Query) eval.PRF {
 	return p.measureBits(p.retrieveORBits(q))
 }
-
-// S is the total ranking score of a set (Section 2's S(·)).
-func (p *Problem) S(set document.DocSet) float64 { return p.Weights.S(set) }
 
 // Expanded is the outcome of one expansion run.
 type Expanded struct {

@@ -16,8 +16,8 @@ import (
 // and (on demand) the documents' clustering vectors. Everything a Problem
 // needs that depends only on (index, user query, universe, weights, pool
 // options) — not on the clustering — lives here, computed once per request
-// instead of once per cluster: every per-cluster Problem has
-// Universe = C ∪ U = the full result set, so the pool scoring and the
+// instead of once per cluster: every per-cluster Problem's C ∪ U is the
+// full result set, so the pool scoring and the
 // DocTermIDs incidence scan are identical across clusters, and the
 // clustering's vector build walks the same arena rows again. One snapshot
 // serves all of them.
@@ -29,11 +29,6 @@ import (
 type Universe struct {
 	// Query is the user query the universe was retrieved for.
 	Query search.Query
-	// Weights are the ranking weights (nil = unranked).
-	Weights eval.Weights
-	// Set is the universe membership as a DocSet, shared by every derived
-	// Problem as its Universe field.
-	Set document.DocSet
 
 	idx  *index.Index
 	docs []document.DocID
@@ -48,29 +43,14 @@ type Universe struct {
 }
 
 // NewUniverse resolves the snapshot for a result universe. ids must be in
-// ascending DocID order (the search layer's Eval/ResultIDs form, or
-// DocSet.IDs()); the slice is retained. weights may be nil.
+// ascending DocID order (the search layer's Eval/ResultIDs form); the slice
+// is retained, and a document's position in it is its dense ID. weights may
+// be nil (unranked).
 func NewUniverse(idx *index.Index, userQuery search.Query, ids []document.DocID,
 	weights eval.Weights, opts PoolOptions) *Universe {
 
-	u := &Universe{
-		Query:   userQuery,
-		Weights: weights,
-		Set:     document.NewDocSet(ids...),
-		idx:     idx,
-		docs:    ids,
-	}
+	u := &Universe{Query: userQuery, idx: idx, docs: ids, w: weights.Dense(ids)}
 	n := len(ids)
-	if weights != nil {
-		u.w = make([]float64, n)
-		for i, id := range ids {
-			if wv, ok := weights[id]; ok && wv > 0 {
-				u.w[i] = wv
-			} else {
-				u.w[i] = 1
-			}
-		}
-	}
 	u.allB = document.FullBitSet(n)
 	u.pool, u.poolTids = scorePool(idx, userQuery, ids, opts)
 	// Keyword→document incidence by merge-join: pool TermIDs and each
@@ -98,8 +78,21 @@ func NewUniverse(idx *index.Index, userQuery search.Query, ids []document.DocID,
 	return u
 }
 
-// Docs returns the universe documents in ascending DocID order. Read-only.
+// Docs returns the universe documents in ascending DocID order; a
+// document's position is its dense ID, the member index of every bitset
+// over this universe. Read-only.
 func (u *Universe) Docs() []document.DocID { return u.docs }
+
+// DenseWeights returns the ranking weight of each document by dense ID (nil
+// = unranked) — the table eval.SBits and eval.MeasureBits read. Read-only.
+func (u *Universe) DenseWeights() []float64 { return u.w }
+
+// Measure is the Section 2 rank-weighted precision/recall/F of a retrieved
+// set against a cluster, both bitsets over the universe's dense IDs — how
+// queries from outside the solvers (the CS baseline) are scored.
+func (u *Universe) Measure(retrieved, cluster document.BitSet) eval.PRF {
+	return eval.MeasureBits(retrieved, cluster, u.w, eval.SBits(cluster, u.w))
+}
 
 // Pool returns the candidate keyword pool in sorted order. Read-only.
 func (u *Universe) Pool() []string { return u.pool }
@@ -119,51 +112,33 @@ func (u *Universe) Vectors() []*cluster.Vector {
 	return u.vecs
 }
 
-// Problems builds one Definition 2.2 problem per cluster set. The sets must
-// partition the universe (every cluster of the request's results does), so
-// each problem's C ∪ U is the full universe and the shared snapshot state
-// applies verbatim. The per-cluster constructions fan out through par.For.
-func (u *Universe) Problems(sets []document.DocSet) []*Problem {
+// Problems builds one Definition 2.2 problem per cluster set: sets are
+// bitsets over the universe's dense IDs (cluster.Clustering.Sets) and must
+// partition it, so each problem's C ∪ U is the full universe and the shared
+// snapshot state applies verbatim. Each set becomes its problem's C as is —
+// the problems retain the sets, which must not be mutated afterwards — and
+// U is the word-wise union of the other sets. The per-cluster constructions
+// fan out through par.For.
+func (u *Universe) Problems(sets []document.BitSet) []*Problem {
 	problems := make([]*Problem, len(sets))
 	par.For(len(sets), func(i int) {
-		other := document.DocSet{}
+		other := document.NewBitSet(len(u.docs))
 		for j, s := range sets {
 			if j != i {
-				other = other.Union(s)
+				other.Or(s)
 			}
 		}
-		problems[i] = u.problem(sets[i], other)
+		p := &Problem{
+			UserQuery: u.Query,
+			Pool:      u.pool,
+			w:         u.w,
+			containB:  u.containB,
+			cB:        sets[i],
+			uB:        other,
+			allB:      u.allB,
+		}
+		p.sC, p.sU = p.sumBits(p.cB), p.sumBits(p.uB)
+		problems[i] = p
 	})
 	return problems
-}
-
-// problem derives one Problem for cluster c (other = the union of the other
-// clusters). Only the cluster-dependent dense state — cB/uB and their sums —
-// is built fresh; docs, weights, pool, incidence and the full-universe
-// bitset are the shared read-only snapshot.
-func (u *Universe) problem(c, other document.DocSet) *Problem {
-	p := &Problem{
-		UserQuery: u.Query,
-		C:         c,
-		U:         other,
-		Universe:  u.Set,
-		Weights:   u.Weights,
-		Pool:      u.pool,
-	}
-	p.docs = u.docs
-	p.w = u.w
-	p.allB = u.allB
-	p.containB = u.containB
-	n := len(u.docs)
-	p.cB, p.uB = document.NewBitSet(n), document.NewBitSet(n)
-	for i, id := range u.docs {
-		if c.Contains(id) {
-			p.cB.Add(i)
-		}
-		if other.Contains(id) {
-			p.uB.Add(i)
-		}
-	}
-	p.sC, p.sU = p.sumBits(p.cB), p.sumBits(p.uB)
-	return p
 }

@@ -8,7 +8,7 @@ import (
 // BitSet is a set over a fixed dense ID universe 0..n-1, packed 64 IDs per
 // uint64 word. It backs the expansion core's hot paths: set algebra becomes
 // word-wise And/AndNot/Or and cardinality becomes popcount, replacing the
-// map-backed DocSet operations that dominated the ISKR/PEBC profiles.
+// map-backed set operations that dominated the ISKR/PEBC profiles.
 //
 // Iteration (ForEach, IDs) is always in ascending ID order. Callers that
 // accumulate floating-point sums over members therefore add in exactly the

@@ -2,6 +2,7 @@ package document
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -73,28 +74,47 @@ func TestBitSetUniverseMismatchPanics(t *testing.T) {
 	NewBitSet(64).And(NewBitSet(65))
 }
 
-// mirrorSet pairs a BitSet with a map DocSet and applies every operation to
-// both, so the property test below can check they never diverge.
+// mirrorSet pairs a BitSet with a plain map set and applies every operation
+// to both, so the property test below can check they never diverge.
 type mirrorSet struct {
 	bits BitSet
-	set  DocSet
+	set  map[int]bool
 }
 
 func newMirror(n int) *mirrorSet {
-	return &mirrorSet{bits: NewBitSet(n), set: DocSet{}}
+	return &mirrorSet{bits: NewBitSet(n), set: map[int]bool{}}
+}
+
+// sortedIDs returns the map set's members in ascending order.
+func (m *mirrorSet) sortedIDs() []int {
+	out := make([]int, 0, len(m.set))
+	for id := range m.set {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// keep drops the map set's members for which in(id) is false.
+func (m *mirrorSet) keep(in func(id int) bool) {
+	for id := range m.set {
+		if !in(id) {
+			delete(m.set, id)
+		}
+	}
 }
 
 func (m *mirrorSet) check(t *testing.T, op string) {
 	t.Helper()
-	if m.bits.Len() != m.set.Len() {
-		t.Fatalf("%s: Len %d vs DocSet %d", op, m.bits.Len(), m.set.Len())
+	if m.bits.Len() != len(m.set) {
+		t.Fatalf("%s: Len %d vs map set %d", op, m.bits.Len(), len(m.set))
 	}
 	ids := m.bits.IDs()
-	want := m.set.IDs()
+	want := m.sortedIDs()
 	for i, id := range ids {
-		if DocID(id) != want[i] {
+		if id != want[i] {
 			t.Fatalf("%s: IDs[%d] = %d, want %d (bitset iteration must be "+
-				"ascending and agree with sorted DocSet)", op, i, id, want[i])
+				"ascending and agree with the sorted map set)", op, i, id, want[i])
 		}
 	}
 	if (m.bits.Len() == 0) != m.bits.Empty() {
@@ -103,7 +123,7 @@ func (m *mirrorSet) check(t *testing.T, op string) {
 }
 
 // TestBitSetMatchesDocSetSemantics drives randomized operation sequences
-// against a BitSet and a map-backed DocSet in lockstep: Add, Remove, Union,
+// against a BitSet and a map-backed document set in lockstep: Add, Remove, Union,
 // Intersect, AndNot (Subtract), Len and IDs ordering must agree after every
 // step. This is the map-vs-bitset property contract the expansion core's
 // dense refactor rests on.
@@ -118,34 +138,42 @@ func TestBitSetMatchesDocSetSemantics(t *testing.T) {
 			switch rng.Intn(6) {
 			case 0:
 				m.bits.Add(id)
-				m.set.Add(DocID(id))
+				m.set[id] = true
 				m.check(t, "Add")
 			case 1:
 				m.bits.Remove(id)
-				m.set.Remove(DocID(id))
+				delete(m.set, id)
 				m.check(t, "Remove")
 			case 2:
 				other.bits.Add(id)
-				other.set.Add(DocID(id))
+				other.set[id] = true
 			case 3: // Union
 				m.bits.Or(other.bits)
-				m.set = m.set.Union(other.set)
+				for o := range other.set {
+					m.set[o] = true
+				}
 				m.check(t, "Or/Union")
 			case 4: // Intersect
 				m.bits.And(other.bits)
-				m.set = m.set.Intersect(other.set)
+				m.keep(func(o int) bool { return other.set[o] })
 				m.check(t, "And/Intersect")
 			case 5: // Subtract
 				m.bits.AndNot(other.bits)
-				m.set = m.set.Subtract(other.set)
+				m.keep(func(o int) bool { return !other.set[o] })
 				m.check(t, "AndNot/Subtract")
 			}
-			if got, want := m.bits.Contains(id), m.set.Contains(DocID(id)); got != want {
-				t.Fatalf("seed %d step %d: Contains(%d) = %t, DocSet %t",
+			if got, want := m.bits.Contains(id), m.set[id]; got != want {
+				t.Fatalf("seed %d step %d: Contains(%d) = %t, map set %t",
 					seed, step, id, got, want)
 			}
-			if got, want := m.bits.AndLen(other.bits), m.set.Intersect(other.set).Len(); got != want {
-				t.Fatalf("seed %d step %d: AndLen = %d, want %d", seed, step, got, want)
+			inter := 0
+			for o := range m.set {
+				if other.set[o] {
+					inter++
+				}
+			}
+			if got := m.bits.AndLen(other.bits); got != inter {
+				t.Fatalf("seed %d step %d: AndLen = %d, want %d", seed, step, got, inter)
 			}
 		}
 		// Clone independence and equality.

@@ -168,101 +168,3 @@ func (d *Document) CompositeTerms() []string {
 	sort.Strings(out)
 	return out
 }
-
-// DocSet is a set of document IDs with the set algebra the QEC algorithms
-// need (intersection with clusters, elimination sets, delta results).
-type DocSet map[DocID]struct{}
-
-// NewDocSet builds a set from ids.
-func NewDocSet(ids ...DocID) DocSet {
-	s := make(DocSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-// Contains reports membership.
-func (s DocSet) Contains(id DocID) bool {
-	_, ok := s[id]
-	return ok
-}
-
-// Add inserts id.
-func (s DocSet) Add(id DocID) { s[id] = struct{}{} }
-
-// Remove deletes id.
-func (s DocSet) Remove(id DocID) { delete(s, id) }
-
-// Len returns the cardinality.
-func (s DocSet) Len() int { return len(s) }
-
-// Clone returns an independent copy.
-func (s DocSet) Clone() DocSet {
-	out := make(DocSet, len(s))
-	for id := range s {
-		out[id] = struct{}{}
-	}
-	return out
-}
-
-// Intersect returns s ∩ t.
-func (s DocSet) Intersect(t DocSet) DocSet {
-	small, large := s, t
-	if len(t) < len(s) {
-		small, large = t, s
-	}
-	out := make(DocSet)
-	for id := range small {
-		if large.Contains(id) {
-			out.Add(id)
-		}
-	}
-	return out
-}
-
-// Union returns s ∪ t.
-func (s DocSet) Union(t DocSet) DocSet {
-	out := make(DocSet, len(s)+len(t))
-	for id := range s {
-		out.Add(id)
-	}
-	for id := range t {
-		out.Add(id)
-	}
-	return out
-}
-
-// Subtract returns s \ t.
-func (s DocSet) Subtract(t DocSet) DocSet {
-	out := make(DocSet)
-	for id := range s {
-		if !t.Contains(id) {
-			out.Add(id)
-		}
-	}
-	return out
-}
-
-// IDs returns the members sorted ascending.
-func (s DocSet) IDs() []DocID {
-	out := make([]DocID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Equal reports whether s and t contain the same IDs.
-func (s DocSet) Equal(t DocSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for id := range s {
-		if !t.Contains(id) {
-			return false
-		}
-	}
-	return true
-}

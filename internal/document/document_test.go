@@ -115,8 +115,21 @@ func TestCompositeTermsEmptyForText(t *testing.T) {
 	}
 }
 
+// The TestDocSet* tests check the laws of a document set on BitSet, the one
+// document-set representation: membership, the algebra the expansion
+// algorithms use, copies and equality.
+
+// docSet builds a set over the universe 0..31.
+func docSet(ids ...int) BitSet {
+	s := NewBitSet(32)
+	for _, id := range ids {
+		s.Add(id)
+	}
+	return s
+}
+
 func TestDocSetBasicOps(t *testing.T) {
-	s := NewDocSet(1, 2, 3)
+	s := docSet(1, 2, 3)
 	if !s.Contains(2) || s.Contains(9) || s.Len() != 3 {
 		t.Error("basic membership failed")
 	}
@@ -131,21 +144,27 @@ func TestDocSetBasicOps(t *testing.T) {
 }
 
 func TestDocSetAlgebra(t *testing.T) {
-	a := NewDocSet(1, 2, 3, 4)
-	b := NewDocSet(3, 4, 5)
-	if got := a.Intersect(b).IDs(); !reflect.DeepEqual(got, []DocID{3, 4}) {
+	a := docSet(1, 2, 3, 4)
+	b := docSet(3, 4, 5)
+	inter := NewBitSet(32)
+	inter.AndOf(a, b)
+	if got := inter.IDs(); !reflect.DeepEqual(got, []int{3, 4}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Union(b).IDs(); !reflect.DeepEqual(got, []DocID{1, 2, 3, 4, 5}) {
+	union := a.Clone()
+	union.Or(b)
+	if got := union.IDs(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Subtract(b).IDs(); !reflect.DeepEqual(got, []DocID{1, 2}) {
+	diff := a.Clone()
+	diff.AndNot(b)
+	if got := diff.IDs(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("Subtract = %v", got)
 	}
 }
 
 func TestDocSetCloneIndependent(t *testing.T) {
-	a := NewDocSet(1)
+	a := docSet(1)
 	b := a.Clone()
 	b.Add(2)
 	if a.Contains(2) {
@@ -154,22 +173,25 @@ func TestDocSetCloneIndependent(t *testing.T) {
 }
 
 func TestDocSetEqual(t *testing.T) {
-	if !NewDocSet(1, 2).Equal(NewDocSet(2, 1)) {
+	if !docSet(1, 2).Equal(docSet(2, 1)) {
 		t.Error("order should not matter")
 	}
-	if NewDocSet(1).Equal(NewDocSet(1, 2)) {
+	if docSet(1).Equal(docSet(1, 2)) {
 		t.Error("different sizes equal")
 	}
-	if NewDocSet(1, 3).Equal(NewDocSet(1, 2)) {
+	if docSet(1, 3).Equal(docSet(1, 2)) {
 		t.Error("different members equal")
+	}
+	if NewBitSet(32).Equal(NewBitSet(33)) {
+		t.Error("sets over different universes equal")
 	}
 }
 
-// generator for property tests: small random sets
-func genSet(ids []uint8) DocSet {
-	s := NewDocSet()
+// genSet is the property tests' generator: small random sets.
+func genSet(ids []uint8) BitSet {
+	s := NewBitSet(32)
 	for _, id := range ids {
-		s.Add(DocID(id % 32))
+		s.Add(int(id % 32))
 	}
 	return s
 }
@@ -178,7 +200,9 @@ func TestDocSetPropertyDeMorgan(t *testing.T) {
 	// |A ∪ B| = |A| + |B| - |A ∩ B|
 	prop := func(as, bs []uint8) bool {
 		a, b := genSet(as), genSet(bs)
-		return a.Union(b).Len() == a.Len()+b.Len()-a.Intersect(b).Len()
+		union := a.Clone()
+		union.Or(b)
+		return union.Len() == a.Len()+b.Len()-a.AndLen(b)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -189,11 +213,15 @@ func TestDocSetPropertySubtractDisjoint(t *testing.T) {
 	// (A \ B) ∩ B = ∅ and (A \ B) ∪ (A ∩ B) = A
 	prop := func(as, bs []uint8) bool {
 		a, b := genSet(as), genSet(bs)
-		diff := a.Subtract(b)
-		if diff.Intersect(b).Len() != 0 {
+		diff := a.Clone()
+		diff.AndNot(b)
+		if diff.AndLen(b) != 0 {
 			return false
 		}
-		return diff.Union(a.Intersect(b)).Equal(a)
+		inter := NewBitSet(32)
+		inter.AndOf(a, b)
+		diff.Or(inter)
+		return diff.Equal(a)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -202,8 +230,7 @@ func TestDocSetPropertySubtractDisjoint(t *testing.T) {
 
 func TestDocSetPropertyIDsSorted(t *testing.T) {
 	prop := func(as []uint8) bool {
-		ids := genSet(as).IDs()
-		return sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return sort.IntsAreSorted(genSet(as).IDs())
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -213,7 +240,10 @@ func TestDocSetPropertyIDsSorted(t *testing.T) {
 func TestDocSetPropertyIntersectCommutative(t *testing.T) {
 	prop := func(as, bs []uint8) bool {
 		a, b := genSet(as), genSet(bs)
-		return a.Intersect(b).Equal(b.Intersect(a))
+		ab, ba := NewBitSet(32), NewBitSet(32)
+		ab.AndOf(a, b)
+		ba.AndOf(b, a)
+		return ab.Equal(ba) && a.AndLen(b) == b.AndLen(a)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

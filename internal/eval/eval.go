@@ -16,25 +16,24 @@ import (
 // ones.
 type Weights map[document.DocID]float64
 
-// S returns the total ranking score of a set of results — the S(·) of
-// Section 2. With nil weights it is the cardinality. Documents missing from
-// a non-nil Weights count as weight 1 (the search layer assigns scores only
-// to ranked results). Summation runs in sorted document order so the result
-// is bit-identical across runs (map iteration order varies and float
-// addition is not associative).
-func (w Weights) S(set document.DocSet) float64 {
+// Dense resolves the weights of the given documents into a table indexed by
+// position in ids — the dense weight table of a result universe, the form
+// SBits, MeasureBits and AccumWord read. A document missing from w, or
+// scored ≤ 0, counts 1 (the search layer assigns scores only to ranked
+// results). A nil Weights yields nil: unranked, every document counts 1.
+func (w Weights) Dense(ids []document.DocID) []float64 {
 	if w == nil {
-		return float64(set.Len())
+		return nil
 	}
-	total := 0.0
-	for _, id := range set.IDs() {
+	out := make([]float64, len(ids))
+	for i, id := range ids {
 		if s, ok := w[id]; ok && s > 0 {
-			total += s
+			out[i] = s
 		} else {
-			total += 1
+			out[i] = 1
 		}
 	}
-	return total
+	return out
 }
 
 // AccumWord adds the weights of the set bits of one bitset word to acc as a
@@ -80,57 +79,54 @@ type PRF struct {
 	F         float64
 }
 
-// Measure computes the rank-weighted precision, recall and F-measure of a
-// retrieved set against cluster C (the ground truth), per Section 2:
-//
-//	precision = S(R ∩ C) / S(R),  recall = S(R ∩ C) / S(C)
-//
-// Conventions for empty sets: an empty retrieved set has precision 0 (and
-// recall 0), so F is 0; an empty cluster makes the measure undefined and we
-// return zeros.
-func Measure(retrieved, cluster document.DocSet, w Weights) PRF {
-	if retrieved.Len() == 0 || cluster.Len() == 0 {
+// MeasureIDs is the rank-weighted precision, recall and F-measure of a
+// retrieved set against a universe that is itself the ground truth (the flat
+// backends' result neighborhood), both as ascending document IDs: the
+// search layer's Eval form and the ResultIDs form. w is the universe's dense
+// weight table (Weights.Dense; nil = unranked); a retrieved document outside
+// the universe counts 1. Both sums fold in ascending ID order, so the
+// result is bit-identical across runs.
+func MeasureIDs(retrieved, universe []document.DocID, w []float64) PRF {
+	if len(retrieved) == 0 || len(universe) == 0 {
 		return PRF{}
 	}
-	inter := w.S(retrieved.Intersect(cluster))
-	p := inter / w.S(retrieved)
-	r := inter / w.S(cluster)
-	return PRF{Precision: p, Recall: r, F: FMeasure(p, r)}
-}
-
-// MeasureIDs is Measure with the retrieved set in the search layer's sorted
-// Eval form: ascending document IDs instead of a map-backed DocSet. The
-// S(R ∩ C) and S(R) sums fold over the given slice in its ascending order —
-// exactly the sorted-ID order Weights.S iterates — so the result is
-// bit-identical to Measure over the equivalent DocSet.
-func MeasureIDs(retrieved []document.DocID, cluster document.DocSet, w Weights) PRF {
-	if len(retrieved) == 0 || cluster.Len() == 0 {
-		return PRF{}
-	}
-	inter, sR := 0.0, 0.0
+	inter, sR, j := 0.0, 0.0, 0
 	for _, id := range retrieved {
+		for j < len(universe) && universe[j] < id {
+			j++
+		}
 		wt := 1.0
-		if w != nil {
-			if s, ok := w[id]; ok && s > 0 {
-				wt = s
+		if j < len(universe) && universe[j] == id {
+			if w != nil {
+				wt = w[j]
 			}
+			inter += wt
 		}
 		sR += wt
-		if cluster.Contains(id) {
-			inter += wt
+	}
+	sU := float64(len(universe))
+	if w != nil {
+		sU = 0
+		for _, x := range w {
+			sU += x
 		}
 	}
 	p := inter / sR
-	r := inter / w.S(cluster)
+	r := inter / sU
 	return PRF{Precision: p, Recall: r, F: FMeasure(p, r)}
 }
 
-// MeasureBits is Measure over dense-ID bitsets — the expansion core's hot
-// path. retrieved and cluster share a universe; w is the dense weight table
-// (nil = unranked); sCluster is S(cluster), which callers cache because the
-// cluster is fixed across the many candidate queries of one problem.
-// Both sums accumulate in ascending dense-ID order (= ascending DocID order),
-// so the result is bit-identical to Measure over the equivalent DocSets.
+// MeasureBits computes the rank-weighted precision, recall and F-measure of
+// a retrieved set against cluster C (the ground truth), per Section 2:
+//
+//	precision = S(R ∩ C) / S(R),  recall = S(R ∩ C) / S(C)
+//
+// retrieved and cluster are bitsets over one universe's dense IDs; w is its
+// dense weight table (nil = unranked); sCluster is S(cluster), which callers
+// cache because the cluster is fixed across the many candidate queries of
+// one problem. Both sums accumulate in ascending dense-ID order (= ascending
+// DocID order). An empty retrieved set has precision 0 (and recall 0), so F
+// is 0; an empty cluster makes the measure undefined and returns zeros.
 func MeasureBits(retrieved, cluster document.BitSet, w []float64, sCluster float64) PRF {
 	inter, sR := 0.0, 0.0
 	cw := cluster.Words()
@@ -138,8 +134,7 @@ func MeasureBits(retrieved, cluster document.BitSet, w []float64, sCluster float
 		inter = AccumWord(inter, wi, word&cw[wi], w)
 		sR = AccumWord(sR, wi, word, w)
 	}
-	// Weights are strictly positive, so a zero sum ⟺ an empty set — the same
-	// empty-set conventions as Measure.
+	// Weights are strictly positive, so a zero sum ⟺ an empty set.
 	if sR == 0 || sCluster == 0 {
 		return PRF{}
 	}
@@ -175,25 +170,26 @@ func Score(fmeasures []float64) float64 {
 }
 
 // Comprehensiveness measures how much of the original result universe the
-// expanded queries jointly cover: S(∪ R_i) / S(universe). Used by the
-// simulated collective user study (Figure 3/4); the paper's raters call a
-// set of expanded queries comprehensive when it "covers various
-// aspects/meanings of the original query".
-func Comprehensiveness(retrieved []document.DocSet, universe document.DocSet, w Weights) float64 {
-	if universe.Len() == 0 {
+// expanded queries jointly cover: S(∪ R_i) / S(universe). retrieved are
+// bitsets over the universe's n dense IDs and w its dense weight table.
+// Used by the simulated collective user study (Figure 3/4); the paper's
+// raters call a set of expanded queries comprehensive when it "covers
+// various aspects/meanings of the original query".
+func Comprehensiveness(retrieved []document.BitSet, n int, w []float64) float64 {
+	if n == 0 {
 		return 0
 	}
-	union := document.DocSet{}
+	union := document.NewBitSet(n)
 	for _, r := range retrieved {
-		union = union.Union(r)
+		union.Or(r)
 	}
-	return w.S(union.Intersect(universe)) / w.S(universe)
+	return SBits(union, w) / SBits(document.FullBitSet(n), w)
 }
 
 // Diversity measures how little the expanded queries' result sets overlap:
 // 1 − mean pairwise Jaccard similarity. A single query (or none) is
-// trivially diverse.
-func Diversity(retrieved []document.DocSet) float64 {
+// trivially diverse. The sets share one universe.
+func Diversity(retrieved []document.BitSet) float64 {
 	n := len(retrieved)
 	if n < 2 {
 		return 1
@@ -202,11 +198,11 @@ func Diversity(retrieved []document.DocSet) float64 {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pairs++
-			union := retrieved[i].Union(retrieved[j]).Len()
+			inter := retrieved[i].AndLen(retrieved[j])
+			union := retrieved[i].Len() + retrieved[j].Len() - inter
 			if union == 0 {
 				continue // two empty sets: count overlap as 0
 			}
-			inter := retrieved[i].Intersect(retrieved[j]).Len()
 			totalJ += float64(inter) / float64(union)
 		}
 	}

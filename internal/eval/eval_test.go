@@ -2,22 +2,37 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/document"
 )
 
+// set builds a set over the dense universe 0..n-1.
+func set(n int, ids ...int) document.BitSet {
+	b := document.NewBitSet(n)
+	for _, id := range ids {
+		b.Add(id)
+	}
+	return b
+}
+
+// measure is MeasureBits with S(cluster) computed from w.
+func measure(retrieved, cluster document.BitSet, w []float64) PRF {
+	return MeasureBits(retrieved, cluster, w, SBits(cluster, w))
+}
+
 func TestMeasurePerfect(t *testing.T) {
-	c := document.NewDocSet(1, 2, 3)
-	got := Measure(c.Clone(), c, nil)
+	c := set(8, 1, 2, 3)
+	got := measure(c.Clone(), c, nil)
 	if got.Precision != 1 || got.Recall != 1 || got.F != 1 {
 		t.Errorf("Measure = %+v, want all 1", got)
 	}
 }
 
 func TestMeasureDisjoint(t *testing.T) {
-	got := Measure(document.NewDocSet(1), document.NewDocSet(2), nil)
+	got := measure(set(8, 1), set(8, 2), nil)
 	if got.Precision != 0 || got.Recall != 0 || got.F != 0 {
 		t.Errorf("Measure = %+v, want all 0", got)
 	}
@@ -25,7 +40,7 @@ func TestMeasureDisjoint(t *testing.T) {
 
 func TestMeasurePartial(t *testing.T) {
 	// retrieved {1,2,3,4}, cluster {3,4,5,6}: p = 2/4, r = 2/4, F = 1/2
-	got := Measure(document.NewDocSet(1, 2, 3, 4), document.NewDocSet(3, 4, 5, 6), nil)
+	got := measure(set(8, 1, 2, 3, 4), set(8, 3, 4, 5, 6), nil)
 	if math.Abs(got.Precision-0.5) > 1e-12 || math.Abs(got.Recall-0.5) > 1e-12 ||
 		math.Abs(got.F-0.5) > 1e-12 {
 		t.Errorf("Measure = %+v", got)
@@ -33,43 +48,63 @@ func TestMeasurePartial(t *testing.T) {
 }
 
 func TestMeasureEmptySets(t *testing.T) {
-	if got := Measure(document.DocSet{}, document.NewDocSet(1), nil); got != (PRF{}) {
+	if got := measure(set(8), set(8, 1), nil); got != (PRF{}) {
 		t.Errorf("empty retrieved: %+v", got)
 	}
-	if got := Measure(document.NewDocSet(1), document.DocSet{}, nil); got != (PRF{}) {
+	if got := measure(set(8, 1), set(8), nil); got != (PRF{}) {
 		t.Errorf("empty cluster: %+v", got)
+	}
+	if got := MeasureIDs(nil, []document.DocID{1}, nil); got != (PRF{}) {
+		t.Errorf("MeasureIDs, empty retrieved: %+v", got)
+	}
+	if got := MeasureIDs([]document.DocID{1}, nil, nil); got != (PRF{}) {
+		t.Errorf("MeasureIDs, empty universe: %+v", got)
 	}
 }
 
 func TestMeasureWeighted(t *testing.T) {
-	// cluster {1,2}: weight(1)=9, weight(2)=1; retrieve only {1}.
-	w := Weights{1: 9, 2: 1}
-	got := Measure(document.NewDocSet(1), document.NewDocSet(1, 2), w)
+	// cluster {0,1}: weight(0)=9, weight(1)=1; retrieve only {0}.
+	w := []float64{9, 1}
+	got := measure(set(2, 0), set(2, 0, 1), w)
 	if got.Precision != 1 {
 		t.Errorf("precision = %v", got.Precision)
 	}
 	if math.Abs(got.Recall-0.9) > 1e-12 {
 		t.Errorf("recall = %v, want 0.9 (rank-weighted)", got.Recall)
 	}
+	// The same through MeasureIDs: universe {10, 20} weighted 9/1, retrieved
+	// {10, 30} — doc 30 lies outside the universe and counts 1.
+	universe := []document.DocID{10, 20}
+	got = MeasureIDs([]document.DocID{10, 30}, universe, Weights{10: 9, 20: 1}.Dense(universe))
+	if got.Precision != 0.9 || math.Abs(got.Recall-0.9) > 1e-12 {
+		t.Errorf("MeasureIDs = %+v, want precision 0.9, recall 0.9", got)
+	}
 }
 
 func TestWeightsSFallsBackToOne(t *testing.T) {
-	w := Weights{1: 2}
-	// doc 5 absent from weights counts as 1
-	if got := w.S(document.NewDocSet(1, 5)); got != 3 {
+	ids := []document.DocID{1, 5, 7}
+	// doc 5 absent from the weights and doc 7 scored 0 both count as 1
+	dense := Weights{1: 2, 7: 0}.Dense(ids)
+	if want := []float64{2, 1, 1}; !slices.Equal(dense, want) {
+		t.Fatalf("Dense = %v, want %v", dense, want)
+	}
+	if got := SBits(set(3, 0, 1), dense); got != 3 {
 		t.Errorf("S = %v, want 3", got)
 	}
 	var nilW Weights
-	if got := nilW.S(document.NewDocSet(1, 2, 3)); got != 3 {
+	if nilW.Dense(ids) != nil {
+		t.Error("nil Weights must resolve to a nil (unranked) table")
+	}
+	if got := SBits(set(3, 0, 1, 2), nil); got != 3 {
 		t.Errorf("nil S = %v, want 3", got)
 	}
 }
 
 func TestWeightedEqualsUnweightedWhenUniform(t *testing.T) {
-	r := document.NewDocSet(1, 2, 5)
-	c := document.NewDocSet(2, 5, 7)
-	w := Weights{1: 1, 2: 1, 5: 1, 7: 1}
-	a, b := Measure(r, c, w), Measure(r, c, nil)
+	r := set(8, 1, 2, 5)
+	c := set(8, 2, 5, 7)
+	w := []float64{1, 1, 1, 1, 1, 1, 1, 1}
+	a, b := measure(r, c, w), measure(r, c, nil)
 	if math.Abs(a.F-b.F) > 1e-12 {
 		t.Errorf("uniform weighted F %v != unweighted F %v", a.F, b.F)
 	}
@@ -104,47 +139,45 @@ func TestScoreZeroFGivesZero(t *testing.T) {
 }
 
 func TestComprehensiveness(t *testing.T) {
-	universe := document.NewDocSet(1, 2, 3, 4)
-	half := []document.DocSet{document.NewDocSet(1), document.NewDocSet(2)}
-	if got := Comprehensiveness(half, universe, nil); math.Abs(got-0.5) > 1e-12 {
+	half := []document.BitSet{set(4, 0), set(4, 1)}
+	if got := Comprehensiveness(half, 4, nil); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Comprehensiveness = %v, want 0.5", got)
 	}
-	full := []document.DocSet{document.NewDocSet(1, 2), document.NewDocSet(3, 4)}
-	if got := Comprehensiveness(full, universe, nil); got != 1 {
+	full := []document.BitSet{set(4, 0, 1), set(4, 2, 3)}
+	if got := Comprehensiveness(full, 4, nil); got != 1 {
 		t.Errorf("full coverage = %v", got)
 	}
-	if got := Comprehensiveness(nil, document.DocSet{}, nil); got != 0 {
+	if got := Comprehensiveness(nil, 0, nil); got != 0 {
 		t.Errorf("empty universe = %v", got)
 	}
-	// Results outside the universe don't inflate coverage.
-	outside := []document.DocSet{document.NewDocSet(9, 10)}
-	if got := Comprehensiveness(outside, universe, nil); got != 0 {
-		t.Errorf("outside universe = %v", got)
+	// Rank weights: covering the heavy document is most of the mass.
+	if got := Comprehensiveness([]document.BitSet{set(2, 0)}, 2, []float64{3, 1}); got != 0.75 {
+		t.Errorf("weighted coverage = %v, want 0.75", got)
 	}
 }
 
 func TestDiversity(t *testing.T) {
-	disjoint := []document.DocSet{document.NewDocSet(1, 2), document.NewDocSet(3, 4)}
+	disjoint := []document.BitSet{set(5, 1, 2), set(5, 3, 4)}
 	if got := Diversity(disjoint); got != 1 {
 		t.Errorf("disjoint diversity = %v", got)
 	}
-	identical := []document.DocSet{document.NewDocSet(1, 2), document.NewDocSet(1, 2)}
+	identical := []document.BitSet{set(5, 1, 2), set(5, 1, 2)}
 	if got := Diversity(identical); got != 0 {
 		t.Errorf("identical diversity = %v", got)
 	}
-	if got := Diversity([]document.DocSet{document.NewDocSet(1)}); got != 1 {
+	if got := Diversity([]document.BitSet{set(5, 1)}); got != 1 {
 		t.Errorf("single set diversity = %v", got)
 	}
-	empties := []document.DocSet{{}, {}}
+	empties := []document.BitSet{set(5), set(5)}
 	if got := Diversity(empties); got != 1 {
 		t.Errorf("two empty sets diversity = %v", got)
 	}
 }
 
-func genSet(ids []uint8) document.DocSet {
-	s := document.NewDocSet()
+func genSet(ids []uint8) document.BitSet {
+	s := document.NewBitSet(24)
 	for _, id := range ids {
-		s.Add(document.DocID(id % 24))
+		s.Add(int(id % 24))
 	}
 	return s
 }
@@ -154,14 +187,14 @@ func genSet(ids []uint8) document.DocSet {
 func TestMeasurePropertyBounds(t *testing.T) {
 	prop := func(rs, cs []uint8, ws []uint8) bool {
 		r, c := genSet(rs), genSet(cs)
-		var w Weights
+		var w []float64
 		if len(ws) > 0 {
-			w = Weights{}
-			for i, x := range ws {
-				w[document.DocID(i%24)] = float64(x%10) + 0.5
+			w = make([]float64, 24)
+			for i := range w {
+				w[i] = float64(ws[i%len(ws)]%10) + 0.5
 			}
 		}
-		m := Measure(r, c, w)
+		m := measure(r, c, w)
 		eps := 1e-9
 		if m.Precision < -eps || m.Precision > 1+eps ||
 			m.Recall < -eps || m.Recall > 1+eps ||
@@ -208,19 +241,20 @@ func TestScorePropertyBetweenMinMax(t *testing.T) {
 // Property: diversity and comprehensiveness lie in [0,1].
 func TestDiversityComprehensivenessPropertyBounds(t *testing.T) {
 	prop := func(as, bs, us []uint8) bool {
-		sets := []document.DocSet{genSet(as), genSet(bs)}
-		u := genSet(us)
+		sets := []document.BitSet{genSet(as), genSet(bs)}
 		d := Diversity(sets)
 		if d < -1e-9 || d > 1+1e-9 {
 			return false
 		}
-		if u.Len() > 0 {
-			c := Comprehensiveness(sets, u, nil)
-			if c < -1e-9 || c > 1+1e-9 {
-				return false
+		var w []float64
+		if len(us) > 0 {
+			w = make([]float64, 24)
+			for i := range w {
+				w[i] = float64(us[i%len(us)]%10) + 0.5
 			}
 		}
-		return true
+		c := Comprehensiveness(sets, 24, w)
+		return c >= -1e-9 && c <= 1+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

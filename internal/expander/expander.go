@@ -26,7 +26,7 @@
 // bit-identical suggestions on every run and worker count. All candidate
 // scans run in ascending TermID (= lexicographic) order with
 // strictly-greater argmax updates, every floating-point accumulation folds
-// in a deterministic order, and suggestion measurement reuses eval.Measure,
+// in a deterministic order, and suggestion measurement uses eval.MeasureIDs,
 // whose sums run in sorted document order.
 package expander
 
@@ -101,28 +101,28 @@ type Backend interface {
 }
 
 // neighborhood builds the measurement substrate shared by every backend in
-// this package: the result universe as a DocSet and the rank weights
-// (nil when unweighted), mirroring the clustered pipeline's
-// problem-construction step so cross-backend PRF values are comparable.
-func neighborhood(in *Input) (document.DocSet, eval.Weights) {
-	universe := search.ResultSet(in.Results)
-	var w eval.Weights
-	if !in.Unweighted {
-		w = eval.Weights{}
-		for _, r := range in.Results {
-			w[r.Doc] = r.Score
-		}
+// this package: the result universe as ascending DocIDs and its dense rank
+// weights by position (nil when unweighted), resolved exactly as the
+// clustered pipeline's Universe resolves them, so cross-backend PRF values
+// are comparable.
+func neighborhood(in *Input) ([]document.DocID, []float64) {
+	ids := search.ResultIDs(in.Results)
+	if in.Unweighted {
+		return ids, nil
 	}
-	return universe, w
+	w := eval.Weights{}
+	for _, r := range in.Results {
+		w[r.Doc] = r.Score
+	}
+	return ids, w.Dense(ids)
 }
 
 // measure evaluates one expanded query by full-corpus AND retrieval against
 // the result neighborhood. Eval returns ascending document IDs and
 // eval.MeasureIDs folds in that sorted order, so the measure is
-// bit-identical across runs (and to the map-backed form it replaced).
-func measure(in *Input, q search.Query, universe document.DocSet, w eval.Weights) eval.PRF {
-	retrieved := in.Eng.Eval(q, search.And)
-	return eval.MeasureIDs(retrieved, universe, w)
+// bit-identical across runs.
+func measure(in *Input, q search.Query, universe []document.DocID, w []float64) eval.PRF {
+	return eval.MeasureIDs(in.Eng.Eval(q, search.And), universe, w)
 }
 
 // assemble ranks nothing — callers pass suggestions in final order — and

@@ -34,8 +34,7 @@ func (Orthogonal) Expand(in *Input) *Output {
 	tr := in.Trace
 
 	tr.Begin(obs.StageProblem)
-	universe, w := neighborhood(in)
-	ids := universe.IDs() // ascending: dense ID order = DocID order
+	ids, w := neighborhood(in) // ascending: dense ID order = DocID order
 	n := len(ids)
 
 	pool := core.ScorePool(in.Idx, in.Query, ids, core.DefaultPoolOptions())
@@ -63,19 +62,6 @@ func (Orthogonal) Expand(in *Input) *Output {
 		}
 	}
 
-	// Dense ranking weights (nil = every document counts 1), resolved the
-	// same way the clustered problems resolve theirs.
-	var dw []float64
-	if w != nil {
-		dw = make([]float64, n)
-		for i, id := range ids {
-			if wv, ok := w[id]; ok && wv > 0 {
-				dw[i] = wv
-			} else {
-				dw[i] = 1
-			}
-		}
-	}
 	tr.End(obs.StageProblem)
 
 	tr.Begin(obs.StageSolve)
@@ -91,7 +77,7 @@ func (Orthogonal) Expand(in *Input) *Output {
 			gain := 0.0
 			cov := covered.Words()
 			for wi, word := range contain[ki].Words() {
-				gain = eval.AccumWord(gain, wi, word&^cov[wi], dw)
+				gain = eval.AccumWord(gain, wi, word&^cov[wi], w)
 			}
 			if gain > bestGain {
 				best, bestGain = ki, gain
@@ -104,7 +90,7 @@ func (Orthogonal) Expand(in *Input) *Output {
 		q := in.Query.With(pool[best])
 		suggestions = append(suggestions, Suggestion{
 			Terms: q.Terms,
-			PRF:   measure(in, q, universe, w),
+			PRF:   measure(in, q, ids, w),
 		})
 		contain[best] = document.NewBitSet(n) // never re-pick (zero gain forever)
 	}

@@ -261,8 +261,8 @@ func containsSub(s, sub string) bool {
 func TestPrepareUniverseMatchesTopK(t *testing.T) {
 	r, _ := sharedStudy(t)
 	qr := r.Prepare(r.Wiki, dataset.TestQuery{ID: "QW2", Raw: "columbia"})
-	if qr.Universe.Set.Len() > r.Config.TopK {
-		t.Errorf("universe %d exceeds TopK %d", qr.Universe.Set.Len(), r.Config.TopK)
+	if len(qr.Universe.Docs()) > r.Config.TopK {
+		t.Errorf("universe %d exceeds TopK %d", len(qr.Universe.Docs()), r.Config.TopK)
 	}
 	if qr.Clustering.K() < 2 {
 		t.Errorf("K = %d", qr.Clustering.K())
@@ -274,8 +274,8 @@ func TestPrepareUniverseMatchesTopK(t *testing.T) {
 	for _, ids := range qr.Clustering.Clusters {
 		total += len(ids)
 	}
-	if total != qr.Universe.Set.Len() {
-		t.Errorf("clusters cover %d of %d results", total, qr.Universe.Set.Len())
+	if total != len(qr.Universe.Docs()) {
+		t.Errorf("clusters cover %d of %d results", total, len(qr.Universe.Docs()))
 	}
 }
 

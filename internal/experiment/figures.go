@@ -106,7 +106,7 @@ func (s *Study) Figure3And4() []MethodSummary {
 	for i, qr := range s.Runs {
 		for _, mq := range s.Methods[i] {
 			sets := s.runner.resultSets(qr, mq.Queries)
-			compr := eval.Comprehensiveness(sets, qr.Universe.Set, qr.Universe.Weights)
+			compr := eval.Comprehensiveness(sets, len(qr.Universe.Docs()), qr.Universe.DenseWeights())
 			div := eval.Diversity(sets)
 			byMethod[mq.Method] = append(byMethod[mq.Method],
 				s.runner.pool.JudgeCollective(compr, div)...)

@@ -120,8 +120,8 @@ func NewRunner(cfg Config) *Runner {
 }
 
 // QueryRun is the prepared state for one test query: ranked results, the
-// resolved universe (its Set and rank Weights), the k-means clustering, and
-// one Definition 2.2 problem per cluster.
+// resolved universe (its documents and dense rank weights), the k-means
+// clustering, and one Definition 2.2 problem per cluster.
 type QueryRun struct {
 	Dataset    *dataset.Dataset
 	TQ         dataset.TestQuery
@@ -156,8 +156,8 @@ func (qr *QueryRun) UniverseBits() document.BitSet {
 
 // Prepare runs the shared pipeline for one test query: search, rank, take
 // top-K (Wikipedia only), then core.ClusterExpand without a solver — the
-// engine's own pipeline — to cluster with k-means and build the per-cluster
-// problems (RunAll solves them).
+// engine's own pipeline — to cluster with k-means; once k is settled it
+// builds the per-cluster problems (RunAll solves them).
 //
 // k: the user-specified granularity. We derive it from the number of
 // distinct ground-truth categories/senses among the results, capped by
@@ -191,7 +191,7 @@ func (r *Runner) Prepare(d *dataset.Dataset, tq dataset.TestQuery) *QueryRun {
 	run, _ := core.ClusterExpand(context.Background(), core.ClusterInput{
 		Index: d.Index, Query: q, Results: results, Cluster: kmeans(k), Trace: &tr,
 	})
-	cl, problems := run.Clustering, run.Problems
+	cl := run.Clustering
 	clusterTime := tr.Durations[obs.StageCluster]
 	if bySilhouette {
 		start := time.Now()
@@ -204,13 +204,10 @@ func (r *Runner) Prepare(d *dataset.Dataset, tq dataset.TestQuery) *QueryRun {
 			}
 		}
 		clusterTime += time.Since(start)
-		if cl != run.Clustering {
-			problems = run.Universe.Problems(cl.Sets())
-		}
 	}
 	return &QueryRun{
 		Dataset: d, TQ: tq, Query: q, Results: results, Universe: run.Universe,
-		Clustering: cl, Problems: problems, ClusterTime: clusterTime,
+		Clustering: cl, Problems: run.Universe.Problems(cl.Sets()), ClusterTime: clusterTime,
 	}
 }
 
@@ -327,19 +324,23 @@ func (r *Runner) scoreAgainstClusters(qr *QueryRun, queries []search.Query) floa
 	}
 	fs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		retrieved := baseline.RetrieveWithin(qr.Dataset.Index, queries[i], qr.Universe.Set)
-		fs = append(fs, eval.Measure(retrieved, sets[i], qr.Universe.Weights).F)
+		fs = append(fs, qr.Universe.Measure(r.retrieve(qr, queries[i]), sets[i]).F)
 	}
 	return eval.Score(fs)
 }
 
-// resultSets evaluates each query against the universe (full retrieval, so
+// retrieve evaluates q against the universe (full retrieval, so
 // out-of-corpus terms yield empty sets — the Google behaviour the paper
-// describes).
-func (r *Runner) resultSets(qr *QueryRun, queries []search.Query) []document.DocSet {
-	out := make([]document.DocSet, len(queries))
+// describes), as a bitset over the universe's dense IDs.
+func (r *Runner) retrieve(qr *QueryRun, q search.Query) document.BitSet {
+	return baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Docs())
+}
+
+// resultSets retrieves each query against the universe.
+func (r *Runner) resultSets(qr *QueryRun, queries []search.Query) []document.BitSet {
+	out := make([]document.BitSet, len(queries))
 	for i, q := range queries {
-		out[i] = baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Set)
+		out[i] = r.retrieve(qr, q)
 	}
 	return out
 }
@@ -377,7 +378,7 @@ func (r *Runner) relatedness(qr *QueryRun, q search.Query) float64 {
 		}
 	}
 	rel := float64(present) / float64(len(expansion))
-	if baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Set).Len() == 0 {
+	if r.retrieve(qr, q).Empty() {
 		rel *= 0.4
 	}
 	return rel
@@ -385,10 +386,10 @@ func (r *Runner) relatedness(qr *QueryRun, q search.Query) float64 {
 
 // helpfulness is the query's best F-measure against any cluster.
 func (r *Runner) helpfulness(qr *QueryRun, q search.Query) float64 {
-	retrieved := baseline.RetrieveWithin(qr.Dataset.Index, q, qr.Universe.Set)
+	retrieved := r.retrieve(qr, q)
 	best := 0.0
 	for _, set := range qr.Clustering.Sets() {
-		if f := eval.Measure(retrieved, set, qr.Universe.Weights).F; f > best {
+		if f := qr.Universe.Measure(retrieved, set).F; f > best {
 			best = f
 		}
 	}

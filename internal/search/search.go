@@ -127,8 +127,7 @@ func (e *Engine) Index() *index.Index { return e.idx }
 // Eval returns the unranked result of q under the given semantics as
 // ascending document IDs — the raw sorted-postings merge output, with no
 // intermediate set materialized. An empty AND query matches every document;
-// an empty OR query matches none. Callers needing set algebra can wrap the
-// slice with document.NewDocSet.
+// an empty OR query matches none.
 func (e *Engine) Eval(q Query, sem Semantics) []document.DocID {
 	if sem == Or {
 		return e.evalOrIDs(e.resolveTerms(q))
@@ -684,15 +683,6 @@ func (e *Engine) searchTopKOr(qtids []termdict.TermID, topK int, ps *PruneStats)
 		ps.NonEssential = ness
 	}
 	return h.sorted()
-}
-
-// ResultSet converts ranked results into a DocSet.
-func ResultSet(results []Result) document.DocSet {
-	s := make(document.DocSet, len(results))
-	for _, r := range results {
-		s.Add(r.Doc)
-	}
-	return s
 }
 
 // ResultIDs returns the result documents as ascending DocIDs — the sorted

@@ -3,6 +3,7 @@ package search
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -151,9 +152,9 @@ func TestQueryString(t *testing.T) {
 }
 
 func TestResultSet(t *testing.T) {
-	rs := ResultSet([]Result{{Doc: 3}, {Doc: 1}})
-	if !rs.Equal(document.NewDocSet(1, 3)) {
-		t.Errorf("ResultSet = %v", rs.IDs())
+	ids := ResultIDs([]Result{{Doc: 3}, {Doc: 1}, {Doc: 2}})
+	if !slices.Equal(ids, []document.DocID{1, 2, 3}) {
+		t.Errorf("ResultIDs = %v, want the result set in ascending order", ids)
 	}
 }
 
@@ -201,9 +202,8 @@ func TestSearchPropertyAndSemantics(t *testing.T) {
 		if len(sub) > len(res) {
 			t.Fatalf("adding a keyword grew the result set: %d -> %d", len(res), len(sub))
 		}
-		resSet := document.NewDocSet(res...)
 		for _, id := range sub {
-			if !resSet.Contains(id) {
+			if _, ok := slices.BinarySearch(res, id); !ok {
 				t.Fatalf("R(q∪k) ⊄ R(q)")
 			}
 		}
@@ -212,10 +212,9 @@ func TestSearchPropertyAndSemantics(t *testing.T) {
 		if !sort.SliceIsSorted(orRes, func(i, j int) bool { return orRes[i] < orRes[j] }) {
 			t.Fatalf("OR Eval not ascending: %v", orRes)
 		}
-		orSet := document.NewDocSet(orRes...)
 		for _, term := range q.Terms {
 			for _, id := range e.Eval(NewQuery(term), Or) {
-				if !orSet.Contains(id) {
+				if _, ok := slices.BinarySearch(orRes, id); !ok {
 					t.Fatalf("R(%q) ⊄ OR result", term)
 				}
 			}

@@ -1,9 +1,10 @@
 // Package userstudy simulates the paper's Mechanical Turk evaluation
 // (Section 5.2.1, Figures 1–4) with a deterministic synthetic rater pool.
 //
-// Substitution note (see DESIGN.md): the paper asked 45 human raters to
-// score expanded queries individually (1–5 plus an option A/B/C justifying
-// the score) and collectively (1–5 plus an option about comprehensiveness
+// Substitution note: Figures 1–4 come from this simulated rater pool, not
+// from human raters. The paper asked 45 human raters to score expanded
+// queries individually (1–5 plus an option A/B/C justifying the score) and
+// collectively (1–5 plus an option about comprehensiveness
 // and diversity). Part 3 of the study found that raters value
 // comprehensiveness and diversity; our rater model therefore scores exactly
 // the measurable proxies of those notions — per-query relatedness and

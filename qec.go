@@ -88,8 +88,10 @@ const (
 	// PEBC is partial elimination based convergence (Section 4) — faster
 	// on large result sets, slightly lower quality.
 	PEBC
-	// DeltaF is the exact-but-slow ISKR variant whose keyword values are
-	// delta F-measures (the paper's "F-measure" comparison method).
+	// DeltaF is the greedy delta-F walk: the ISKR variant whose keyword
+	// values are the F-measure changes themselves, accepting only
+	// F-improving steps (the paper's "F-measure" comparison method). It is
+	// slower than ISKR and, being greedy, not guaranteed optimal.
 	DeltaF
 	// ORExpansion generates expanded queries under OR semantics (the
 	// paper's appendix problem): keywords whose union of results covers the
@@ -620,7 +622,7 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 	tr.Begin(obs.StageAssemble)
 	out := &Expansion{
 		Original: in.Query.Terms,
-		Clusters: cl.Clusters,
+		Clusters: run.Clusters,
 		Score:    res.Score,
 	}
 	for i, ce := range res.Expansions {
@@ -639,7 +641,7 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 			in.explain.Notes = append(in.explain.Notes,
 				"interleave rounds rebuild problems internally; per-cluster solver trails are not collected")
 		}
-		c.explainClusters(in.explain, out, cl, res, run.Problems)
+		c.explainClusters(in.explain, out, res, run.Problems)
 	}
 	return out, nil
 }
@@ -649,7 +651,7 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 // so the extra F-measure evaluations it performs (candidate-pool F-if-added
 // lines) cannot influence the returned result.
 func (c clusteredExpander) explainClusters(ex *Explain, out *Expansion,
-	cl *cluster.Clustering, res *core.QECResult, problems []*core.Problem) {
+	res *core.QECResult, problems []*core.Problem) {
 
 	for i, ce := range res.Expansions {
 		cx := ClusterExplain{
@@ -657,8 +659,8 @@ func (c clusteredExpander) explainClusters(ex *Explain, out *Expansion,
 			Label:   ce.Expanded.Query.Terms,
 			F:       ce.Expanded.PRF.F,
 		}
-		if i < len(cl.Clusters) {
-			cx.Size = len(cl.Clusters[i])
+		if i < len(out.Clusters) {
+			cx.Size = len(out.Clusters[i])
 		}
 		if problems != nil && i < len(problems) && problems[i].Trail != nil {
 			p, trail := problems[i], problems[i].Trail

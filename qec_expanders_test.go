@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -332,18 +333,25 @@ func TestInterleaveAcrossBackends(t *testing.T) {
 	// Score the mixed set like the paper's collective user study: coverage
 	// of the original result neighborhood and pairwise dissimilarity of the
 	// suggestions' result sets, mapped to simulated 1-5 judgments.
+	// Each suggestion's result set is restricted to the neighborhood, as a
+	// bitset over its positions.
 	results := e.Search("java", 30)
-	universe := document.DocSet{}
+	universe := search.ResultIDs(results)
 	weights := eval.Weights{}
 	for _, r := range results {
-		universe.Add(r.Doc)
 		weights[r.Doc] = r.Score
 	}
-	var retrieved []document.DocSet
+	var retrieved []document.BitSet
 	for _, s := range first {
-		retrieved = append(retrieved, document.NewDocSet(e.eng.Eval(search.NewQuery(s.terms...), search.And)...))
+		b := document.NewBitSet(len(universe))
+		for _, id := range e.eng.Eval(search.NewQuery(s.terms...), search.And) {
+			if di, ok := slices.BinarySearch(universe, id); ok {
+				b.Add(di)
+			}
+		}
+		retrieved = append(retrieved, b)
 	}
-	comp := eval.Comprehensiveness(retrieved, universe, weights)
+	comp := eval.Comprehensiveness(retrieved, len(universe), weights.Dense(universe))
 	div := eval.Diversity(retrieved)
 	if comp <= 0 || comp > 1 {
 		t.Errorf("comprehensiveness = %v; want in (0,1]", comp)
