@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,51 @@ func TestNoDocIDMapInCore(t *testing.T) {
 				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "document" {
 					t.Errorf("%s: map keyed by document.DocID in internal/core; use a document.BitSet over the universe's dense IDs",
 						fset.Position(m.Map))
+				}
+			}
+			return true
+		})
+	})
+}
+
+// clockFreePackages never read the wall clock: their output is a pure
+// function of their inputs, which keeps the degradation ladder replayable
+// and the pipeline's determinism goldens meaningful. Timing belongs to the
+// obs spans and the serving layer around them.
+var clockFreePackages = []string{
+	"internal/degrade/", "internal/core/", "internal/cluster/", "internal/search/", "internal/index/",
+}
+
+// TestNoWallClockInPurePackages is an architecture ratchet: no non-test file
+// of clockFreePackages may call time.Now, time.Since or time.Until.
+func TestNoWallClockInPurePackages(t *testing.T) {
+	walkModule(t, 0, func(path string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || !slices.ContainsFunc(clockFreePackages, func(p string) bool {
+			return strings.HasPrefix(path, p)
+		}) {
+			return
+		}
+		timeName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				timeName = "time"
+				if imp.Name != nil {
+					timeName = imp.Name.Name
+				}
+			}
+		}
+		if timeName == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == timeName {
+				switch sel.Sel.Name {
+				case "Now", "Since", "Until":
+					t.Errorf("%s: %s.%s in a package that must not read the wall clock", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
 				}
 			}
 			return true

@@ -58,7 +58,7 @@
 //
 // Under saturation the server degrades quality before availability: an
 // adaptive controller (on by default; -degrade=false disables) walks a
-// five-tier ladder — forced serving quality, capped restarts, cache-only,
+// five-tier ladder — serving quality, one bound-pruned restart, cache-only,
 // and only then shedding with 503 + Retry-After. -degrade-max-tier clamps
 // the ladder (3 forbids shedding); SIGUSR2 logs the controller snapshot.
 // See docs/DEGRADATION.md. Building with -tags faultinject adds the

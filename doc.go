@@ -142,8 +142,9 @@
 //
 // # Clustering quality modes
 //
-// ExpandOptions.Quality selects the clustering speed/accuracy trade, with a
-// distinct determinism contract per mode:
+// ExpandOptions.Quality is one ordered effort level, each level spending no
+// more than the one before it, with a distinct determinism contract per
+// mode:
 //
 //   - QualityExact (default): the full restart budget with every distance
 //     computed. Contract: bit identity — for a fixed seed the clustering
@@ -162,23 +163,21 @@
 //     on every run and worker count, because restarts advance in lockstep
 //     rounds and abandonment decisions are a pure function of iteration
 //     counts, never of goroutine timing.
+//   - QualityMinimal: one bound-pruned restart — QualityServing with
+//     Restarts 1, so nothing is abandoned. Contract: determinism, as for
+//     serving. It has no wire name: the degradation ladder applies it.
 //
 // Quality is part of the expansion cache key (see expandKey), so cached
-// engines serve both modes side by side; the server maps the wire field
+// engines serve the levels side by side; the server maps the wire field
 // "quality" ("exact"/"serving") onto it, with qec-serve -quality supplying
 // the fleet default.
 //
 // The degradation ladder (internal/degrade, docs/DEGRADATION.md) composes
-// these contracts rather than weakening them. ExpandOptions.RestartBudget
-// and AggressiveAbandon — the knobs tiers T2+ apply — join Quality in the
-// cache key, and every (quality, budget, abandon) triple is its own
-// deterministic pipeline: a fixed seed yields bit-identical output for a
-// given triple on every run and worker count. RestartBudget only ever
-// lowers the restart count, so a budgeted run picks its winner from a
-// prefix of the identical lockstep restarts; aggressive abandonment
-// tightens the serving-mode abandonment threshold, which stays a pure
-// function of round counts. The per-tier bit-identity leg is pinned at the
-// cluster layer by the tier goldens in internal/cluster and at the wire by
+// these contracts rather than weakening them: a tier only raises a
+// request's Quality to its floor (serving at T1, minimal at T2 and T3), so
+// every tier runs one of the three deterministic levels above, cached under
+// that level's key. The per-tier bit-identity leg is pinned at the cluster
+// layer by the tier goldens in internal/cluster and at the wire by
 // TestDegradationLadder's per-tier response goldens.
 //
 // The expansion core works in a problem-local dense ID space: universe

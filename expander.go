@@ -2,6 +2,7 @@ package qec
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 
@@ -220,8 +221,12 @@ var builtinExpanders = [NumMethods]Expander{
 // slot. MethodName (when set) overrides Method: the custom registry is
 // checked first, then the built-in names/aliases; unknown names get
 // ParseMethod's canonical error. A plain Method outside the enum clamps to
-// ISKR, matching the historical switch default.
+// ISKR, matching the historical switch default. An undefined Quality level
+// is an error: it names no effort level and no metrics slot.
 func (e *Engine) backendFor(opts ExpandOptions) (Expander, int, error) {
+	if !opts.Quality.Valid() {
+		return nil, 0, fmt.Errorf("qec: undefined quality level %d", int(opts.Quality))
+	}
 	if opts.MethodName != "" {
 		name := strings.ToLower(strings.TrimSpace(opts.MethodName))
 		if x, ok := e.custom[name]; ok {

@@ -229,13 +229,6 @@ func TestQueryLogDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestResultWeights(t *testing.T) {
-	w := resultWeights([]search.Result{{Doc: 1, Score: 2.5}, {Doc: 2, Score: 1}})
-	if w[1] != 2.5 || w[2] != 1 || len(w) != 2 {
-		t.Errorf("resultWeights = %v", w)
-	}
-}
-
 // kmeans clusters documents of idx through cluster.KMeansVecs over their
 // corpus-global TF vectors.
 func kmeans(idx *index.Index, docs []document.DocID, opts cluster.Options) *cluster.Clustering {

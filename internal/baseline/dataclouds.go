@@ -14,7 +14,6 @@ package baseline
 import (
 	"slices"
 
-	"repro/internal/document"
 	"repro/internal/index"
 	"repro/internal/search"
 	"repro/internal/termdict"
@@ -112,14 +111,4 @@ func (d *DataClouds) TopWords(idx *index.Index, results []search.Result, uq sear
 		}
 	}
 	return out
-}
-
-// resultWeights extracts ranking weights from ranked results (shared by the
-// experiment harness).
-func resultWeights(results []search.Result) map[document.DocID]float64 {
-	w := make(map[document.DocID]float64, len(results))
-	for _, r := range results {
-		w[r.Doc] = r.Score
-	}
-	return w
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/document"
@@ -49,7 +50,8 @@ func (c *Clustering) Sets() []document.BitSet {
 // K returns the number of clusters.
 func (c *Clustering) K() int { return len(c.Clusters) }
 
-// Quality selects the clustering speed/accuracy trade of a k-means run.
+// Quality is the one ordered effort level of a k-means run: each level
+// spends no more than the one before it (exact < serving < minimal).
 type Quality int
 
 const (
@@ -65,23 +67,26 @@ const (
 	// runs always produce the same clustering — but not bit-comparable to
 	// QualityExact, which keeps more restarts.
 	QualityServing
+	// QualityMinimal runs one bound-pruned restart: QualityServing's
+	// assignment arithmetic with Restarts 1. The degradation ladder's T2 and
+	// T3 tiers apply it; it has no wire name.
+	QualityMinimal
 )
 
 // servingRestarts caps restarts in QualityServing mode.
 const servingRestarts = 2
 
-// aggressiveAbandonFactor is the Options.AggressiveAbandon threshold: a live
-// restart is abandoned once its running distortion exceeds this fraction of
-// the best completed restart's (plain abandonment requires strictly
-// exceeding the best itself, factor 1.0).
-const aggressiveAbandonFactor = 0.9
+var qualityNames = [...]string{"exact", "serving", "minimal"}
 
-// String names the quality mode ("exact" / "serving").
+// Valid reports whether q is one of the defined levels.
+func (q Quality) Valid() bool { return q >= QualityExact && q <= QualityMinimal }
+
+// String names the level ("exact" / "serving" / "minimal").
 func (q Quality) String() string {
-	if q == QualityServing {
-		return "serving"
+	if !q.Valid() {
+		return "Quality(" + strconv.Itoa(int(q)) + ")"
 	}
-	return "exact"
+	return qualityNames[q]
 }
 
 // Options configures k-means.
@@ -104,22 +109,9 @@ type Options struct {
 	// additionally abandons a restart whose running distortion already
 	// exceeds the best completed restart's.
 	Restarts int
-	// Quality selects the speed/accuracy trade (default QualityExact).
+	// Quality selects the effort level (default QualityExact); it caps
+	// Restarts and switches on bound-pruned assignment.
 	Quality Quality
-	// RestartBudget, when positive, caps restarts after the quality mode's
-	// own cap — the degradation ladder's tier-2 knob (budget 1 runs a single
-	// restart). For a fixed (Quality, RestartBudget) pair the output is a
-	// pure function of the seed, exactly like the quality modes themselves
-	// (pinned by the per-tier golden cases); it never raises the restart
-	// count above Restarts.
-	RestartBudget int
-	// AggressiveAbandon tightens serving-mode early abandonment: a live
-	// restart is abandoned once its running distortion exceeds
-	// aggressiveAbandonFactor times the best completed restart's, instead of
-	// strictly exceeding it — trading a further deterministic accuracy delta
-	// for latency. No effect in QualityExact (abandonment is off there) or
-	// when only one restart runs.
-	AggressiveAbandon bool
 	// Ctx, when non-nil, is checked at lockstep round boundaries: once it is
 	// cancelled the driver stops stepping and returns immediately, so a
 	// disconnected client frees its worker mid-run instead of finishing a
@@ -183,8 +175,8 @@ func (o *Options) defaults() {
 // Centroids are dense []float64 over that space (see centroid), so every
 // point·centroid distance is a branch-free gather over the point's IDs. In
 // QualityExact mode the output is bit-identical to the sparse merge-join
-// implementation (pinned by the kmeans golden file); QualityServing trades a
-// deterministic accuracy delta for latency (fewer restarts, bound-pruned
+// implementation (pinned by the kmeans golden file); the higher levels trade
+// a deterministic accuracy delta for latency (fewer restarts, bound-pruned
 // assignment).
 func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *Clustering {
 	opts.defaults()
@@ -192,23 +184,15 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 	if n == 0 {
 		return &Clustering{}
 	}
-	restarts := opts.Restarts
-	if restarts < 1 {
+	restarts := max(opts.Restarts, 1)
+	switch opts.Quality {
+	case QualityServing:
+		restarts = min(restarts, servingRestarts)
+	case QualityMinimal:
 		restarts = 1
 	}
-	pruned := false
-	if opts.Quality == QualityServing {
-		pruned = true
-		if restarts > servingRestarts {
-			restarts = servingRestarts
-		}
-	}
-	// The degradation ladder's budget cap applies after the quality cap: a
-	// budget can only lower the restart count, never raise it.
-	if opts.RestartBudget > 0 && restarts > opts.RestartBudget {
-		restarts = opts.RestartBudget
-	}
-	// Early abandonment is a serving-mode trade: distortion under the
+	pruned := opts.Quality == QualityServing || opts.Quality == QualityMinimal
+	// Early abandonment is a pruned-mode trade: distortion under the
 	// mean-update/cosine iteration is not strictly monotone, so a restart
 	// that currently trails the best completed one can still end up winning —
 	// abandoning it is deterministic but (rarely) selects a slightly worse
@@ -240,16 +224,6 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 		states[r] = newRunState(sp, ro, pruned)
 	})
 
-	// Aggressive abandonment (the ladder's tier-2 knob) abandons a trailing
-	// restart even before it exceeds the best completed distortion — at 90%
-	// of it — cutting more rounds at a further deterministic accuracy cost.
-	abandonAt := func(bestDone float64) float64 {
-		if opts.AggressiveAbandon {
-			return bestDone * aggressiveAbandonFactor
-		}
-		return bestDone
-	}
-
 	bestDone := math.Inf(1)
 	hasDone := false
 	live := make([]*runState, 0, restarts)
@@ -279,9 +253,8 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 			}
 		}
 		if abandon && hasDone {
-			cut := abandonAt(bestDone)
 			for _, st := range states {
-				if !st.done && st.distortion > cut {
+				if !st.done && st.distortion > bestDone {
 					st.abandoned = true
 				}
 			}

@@ -122,10 +122,18 @@ func TestServingModeFewerRestartsAndConverges(t *testing.T) {
 	}
 }
 
-// TestQualityStringNames pins the wire names of the quality modes.
+// TestQualityStringNames pins the names of the quality levels, their order
+// and the out-of-range spelling.
 func TestQualityStringNames(t *testing.T) {
-	if QualityExact.String() != "exact" || QualityServing.String() != "serving" {
-		t.Fatalf("quality names: %q / %q", QualityExact, QualityServing)
+	for q, want := range []string{"exact", "serving", "minimal"} {
+		if got := Quality(q).String(); got != want || !Quality(q).Valid() {
+			t.Errorf("Quality(%d): %q (valid %t), want %q", q, got, Quality(q).Valid(), want)
+		}
+	}
+	for _, q := range []Quality{-1, 3, 5} {
+		if q.Valid() || q.String() != "Quality("+strconv.Itoa(int(q))+")" {
+			t.Errorf("Quality(%d): valid %t, name %q", int(q), q.Valid(), q.String())
+		}
 	}
 }
 

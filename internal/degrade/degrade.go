@@ -2,14 +2,14 @@
 // controller: it maps observed load signals (worker queue depth and
 // occupancy, windowed error/abandon ratios, remaining request deadline) onto
 // an ordered ladder of serving tiers, so the server sheds *quality* before it
-// sheds *requests* — serving mode, then a capped restart budget, then
+// sheds *requests* — serving quality, then one bound-pruned restart, then
 // cache-only answers, and only at the top of the ladder a 503.
 //
 // The ladder (docs/DEGRADATION.md carries the operator-facing table):
 //
 //	T0  requested quality untouched
-//	T1  force QualityServing (fewer restarts, bound-pruned assignment)
-//	T2  serving + restart budget 1 + aggressive early-abandon
+//	T1  quality floor serving (≤2 restarts, bound-pruned assignment)
+//	T2  quality floor minimal (one bound-pruned restart)
 //	T3  expansion-cache only; a miss gets a fast single-cluster fallback
 //	T4  shed: 503 with a Retry-After derived from the queue drain rate
 //
@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // Tier is one rung of the degradation ladder. Higher is more degraded.
@@ -38,10 +40,10 @@ type Tier int32
 const (
 	// Tier0 serves the requested quality untouched.
 	Tier0 Tier = iota
-	// Tier1 forces QualityServing.
+	// Tier1 raises the quality floor to QualityServing.
 	Tier1
-	// Tier2 forces serving quality with restart budget 1 and aggressive
-	// early-abandonment.
+	// Tier2 raises the quality floor to QualityMinimal: one bound-pruned
+	// restart.
 	Tier2
 	// Tier3 answers from the expansion cache only; misses run a fast
 	// single-cluster fallback.
@@ -140,12 +142,11 @@ func (c Config) withDefaults() Config {
 type Decision struct {
 	// Tier is the rung this request is served at.
 	Tier Tier
-	// ForceServing forces QualityServing onto the request (T1+).
-	ForceServing bool
-	// RestartBudget caps k-means restarts (0 = no cap; T2+ sets 1).
-	RestartBudget int
-	// AggressiveAbandon tightens serving-mode early abandonment (T2+).
-	AggressiveAbandon bool
+	// Floor is the lowest quality level the request may run at (levels are
+	// ordered by falling effort): the handler raises the request's own level
+	// to it — serving at T1, minimal at T2 and T3. The zero value,
+	// QualityExact, leaves the request untouched.
+	Floor cluster.Quality
 	// CacheOnly answers from the expansion cache, with a single-cluster
 	// fallback on miss (T3).
 	CacheOnly bool
@@ -157,9 +158,9 @@ type Decision struct {
 // this table, so the hot path allocates nothing and branches once.
 var decisions = [NumTiers]Decision{
 	Tier0: {Tier: Tier0},
-	Tier1: {Tier: Tier1, ForceServing: true},
-	Tier2: {Tier: Tier2, ForceServing: true, RestartBudget: 1, AggressiveAbandon: true},
-	Tier3: {Tier: Tier3, ForceServing: true, RestartBudget: 1, AggressiveAbandon: true, CacheOnly: true},
+	Tier1: {Tier: Tier1, Floor: cluster.QualityServing},
+	Tier2: {Tier: Tier2, Floor: cluster.QualityMinimal},
+	Tier3: {Tier: Tier3, Floor: cluster.QualityMinimal, CacheOnly: true},
 	Tier4: {Tier: Tier4, Shed: true},
 }
 

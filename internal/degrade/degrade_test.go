@@ -3,6 +3,8 @@ package degrade
 import (
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // load builds a Signals sample with the given queue+in-flight occupancy over
@@ -126,9 +128,9 @@ func TestDecisionsMatchLadderSpec(t *testing.T) {
 		want Decision
 	}{
 		{Tier0, Decision{Tier: Tier0}},
-		{Tier1, Decision{Tier: Tier1, ForceServing: true}},
-		{Tier2, Decision{Tier: Tier2, ForceServing: true, RestartBudget: 1, AggressiveAbandon: true}},
-		{Tier3, Decision{Tier: Tier3, ForceServing: true, RestartBudget: 1, AggressiveAbandon: true, CacheOnly: true}},
+		{Tier1, Decision{Tier: Tier1, Floor: cluster.QualityServing}},
+		{Tier2, Decision{Tier: Tier2, Floor: cluster.QualityMinimal}},
+		{Tier3, Decision{Tier: Tier3, Floor: cluster.QualityMinimal, CacheOnly: true}},
 		{Tier4, Decision{Tier: Tier4, Shed: true}},
 	}
 	for _, tc := range cases {

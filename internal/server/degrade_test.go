@@ -42,7 +42,7 @@ func normalizeExpandBody(t *testing.T, data []byte) string {
 //   - the climb is monotone (the tier never dips while pressure ramps up),
 //   - no request is shed (503) before the controller reaches T4,
 //   - every response at a given tier is bit-identical to that tier's golden
-//     (the per-(quality,budget) determinism contract, pinned at the wire),
+//     (the per-quality-level determinism contract, pinned at the wire),
 //   - recovery descends exactly one rung per MinDwell calm steps back to T0,
 //     after which responses are byte-identical to the undegraded golden.
 //
@@ -132,7 +132,16 @@ func TestDegradationLadder(t *testing.T) {
 		case degrade.Tier1:
 			serveAt("tier1", "apple", degrade.Tier1)
 		case degrade.Tier2:
+			served := srv.expandHist[qec.QualityMinimal].Snapshot().Count
 			serveAt("tier2", "apple", degrade.Tier2)
+			// T2 raises the quality floor to minimal: all three requests
+			// are labelled minimal, and the first one ran the pipeline there.
+			if got := srv.expandHist[qec.QualityMinimal].Snapshot().Count - served; got != 3 {
+				t.Fatalf("tier2: %d requests labelled minimal, want 3", got)
+			}
+			if got := eng.Metrics().PerQuality[qec.QualityMinimal].Snapshot().Count; got != 1 {
+				t.Fatalf("tier2: %d pipeline runs at minimal, want 1", got)
+			}
 		case degrade.Tier3:
 			// Hit: "apple" was computed (and cached) back at T0 under these
 			// exact options — T3 serves that full-fidelity answer.

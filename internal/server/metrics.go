@@ -29,7 +29,7 @@ type engineMetrics interface {
 // Pre-rendered label sets: compile-time constants so the scrape path builds
 // no label strings.
 var (
-	qualityLabels = [qec.NumQualities]string{`quality="exact"`, `quality="serving"`}
+	qualityLabels = [qec.NumQualities]string{`quality="exact"`, `quality="serving"`, `quality="minimal"`}
 	methodLabels  = [qec.NumMethodSlots]string{
 		`method="iskr"`, `method="pebc"`, `method="deltaf"`, `method="or"`,
 		`method="vector"`, `method="lexical"`, `method="orthogonal"`,

@@ -18,12 +18,13 @@
 // constructed with qec.WithExpansionCache.
 //
 // With Options.Degrade the server consults an adaptive degradation
-// controller (internal/degrade) at admission: under load it forces serving
-// quality, caps the k-means restart budget, falls back to cache-only
-// answers, and only as the last rung sheds with 503 + Retry-After. The tier
-// a request was served at is stamped into the response ("degraded" field and
-// X-Qec-Tier header), the access log, the flight recorder, /stats and
-// /metrics — docs/DEGRADATION.md has the operator guide.
+// controller (internal/degrade) at admission: under load it raises the
+// clustering quality floor to serving, then to one bound-pruned restart,
+// falls back to cache-only answers, and only as the last rung sheds with
+// 503 + Retry-After. The tier a request was served at is stamped into the
+// response ("degraded" field and X-Qec-Tier header), the access log, the
+// flight recorder, /stats and /metrics — docs/DEGRADATION.md has the
+// operator guide.
 //
 // Every search/expand request gets a trace ID, returned in the X-Trace-Id
 // response header and stamped on the optional JSON-lines access log
@@ -103,8 +104,8 @@ type Options struct {
 	FlightCapacity int
 	// Degrade enables the adaptive degradation controller: expand requests
 	// are admitted through the internal/degrade tier ladder, shedding
-	// quality (serving mode, capped restarts, cache-only) before shedding
-	// requests. Off by default.
+	// quality (serving, one bound-pruned restart, cache-only) before
+	// shedding requests. Off by default.
 	Degrade bool
 	// DegradeMaxTier clamps the ladder (1..4; see degrade.Tier). Values
 	// outside that range mean 4 — shedding allowed. 3 forbids shedding
@@ -144,7 +145,7 @@ type Server struct {
 	errcount, timeouts, rejects, canceled atomic.Int64
 
 	// inFlight and queued expose the worker pool's occupancy; searchHist and
-	// expandHist (indexed by qec.QualityIndex) record user-visible request
+	// expandHist (indexed by quality level) record user-visible request
 	// latency, queueing and cache hits included.
 	inFlight   obs.Gauge
 	queued     obs.Gauge
@@ -310,7 +311,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for qi := range s.expandHist {
 		snap := s.expandHist[qi].Snapshot()
 		expandAll.Merge(snap)
-		quality[qec.QualityLabel(qi)] = summarize(snap)
+		quality[qec.Quality(qi).String()] = summarize(snap)
 	}
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -514,7 +515,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		// calmer times, strictly better than anything T3 could compute now.
 		if exp, ok := s.eng.ExpandCached(req.Query, opts); ok {
 			took := time.Since(start)
-			s.expandHist[qec.QualityIndex(opts.Quality)].Observe(took)
+			s.expandHist[opts.Quality].Observe(took)
 			s.tierHist[dec.Tier].Observe(took)
 			resp := newExpandResponse(exp, float64(took.Microseconds())/1000)
 			resp.Degraded = int(dec.Tier)
@@ -522,24 +523,19 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 			entry.status = http.StatusOK
 			entry.took = took
 			entry.cache = obs.CacheHit
-			entry.quality = qec.QualityLabel(qec.QualityIndex(opts.Quality))
+			entry.quality = opts.Quality.String()
 			s.logRequest(&entry)
 			s.recordFlight(&entry, start, nil)
 			return
 		}
 		// Miss: a fast single-cluster fallback (K=1 skips the k-means
-		// restart ladder almost entirely) through the worker pool, under the
-		// T2 clustering knobs applied below.
+		// restart ladder almost entirely) through the worker pool, at the
+		// minimal quality floor applied below.
 		opts.K = 1
 		opts.Interleave = 0
 	}
-	if dec.ForceServing {
-		opts.Quality = qec.QualityServing
-		opts.RestartBudget = dec.RestartBudget
-		opts.AggressiveAbandon = dec.AggressiveAbandon
-	}
-	qi := qec.QualityIndex(opts.Quality)
-	entry.quality = qec.QualityLabel(qi)
+	opts.Quality = max(opts.Quality, dec.Floor)
+	entry.quality = opts.Quality.String()
 
 	// Acquire a worker slot, giving up at the request deadline.
 	s.queued.Inc()
@@ -601,7 +597,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		entry.took = took
 		entry.cache = tr.Cache
 		entry.tr = tr
-		s.expandHist[qi].Observe(took)
+		s.expandHist[opts.Quality].Observe(took)
 		if s.ctrl != nil {
 			s.tierHist[dec.Tier].Observe(took)
 		}

@@ -489,6 +489,9 @@ func TestExpandRequestOptionsQuality(t *testing.T) {
 		{"exact", qec.QualityServing, qec.QualityExact, true},
 		{"Serving", qec.QualityExact, qec.QualityServing, true},
 		{"bogus", qec.QualityExact, qec.QualityExact, false},
+		{"minimal", qec.QualityExact, qec.QualityExact, false}, // ladder only
+		{"", qec.Quality(5), qec.QualityExact, false},          // undefined default
+		{"exact", qec.Quality(5), qec.QualityExact, true},      // explicit level wins
 	}
 	for _, tc := range cases {
 		opts, err := (&ExpandRequest{Query: "q", Quality: tc.wire}).Options(tc.def)

@@ -67,7 +67,7 @@ type ExpandRequest struct {
 
 // Options converts the wire request into qec.ExpandOptions. def is the
 // server's default clustering quality, applied when the request leaves the
-// field empty.
+// field empty; an undefined level is an error.
 func (r *ExpandRequest) Options(def qec.Quality) (qec.ExpandOptions, error) {
 	method, err := qec.ParseMethod(r.Method)
 	if err != nil {
@@ -79,6 +79,9 @@ func (r *ExpandRequest) Options(def qec.Quality) (qec.ExpandOptions, error) {
 		if quality, ok = qec.ParseQuality(r.Quality); !ok {
 			return qec.ExpandOptions{}, fmt.Errorf("unknown quality %q", r.Quality)
 		}
+	}
+	if !quality.Valid() {
+		return qec.ExpandOptions{}, fmt.Errorf("undefined quality level %d", int(quality))
 	}
 	return qec.ExpandOptions{
 		K:          r.K,
@@ -109,7 +112,7 @@ type ExpandResponse struct {
 	Score  float64 `json:"score"`
 	TookMS float64 `json:"took_ms"`
 	// Degraded is the degradation-ladder tier the request was served at
-	// (1 = forced serving quality, 2 = + restart budget, 3 = cache only);
+	// (1 = serving quality, 2 = one bound-pruned restart, 3 = cache only);
 	// omitted at full quality or when degradation is disabled. The same
 	// value rides in the X-Qec-Tier response header.
 	Degraded int `json:"degraded,omitempty"`

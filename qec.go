@@ -47,9 +47,10 @@ var (
 	ErrUnknownMethod = errors.New("qec: unknown method")
 )
 
-// Quality selects the clustering speed/accuracy trade of the expansion
-// pipeline (an alias of the internal cluster.Quality so it threads through
-// ExpandOptions into ClusterOptions unconverted).
+// Quality is the expansion pipeline's one ordered clustering effort level,
+// from QualityExact (most effort) to QualityMinimal (least) — an alias of the
+// internal cluster.Quality so it threads through ExpandOptions into
+// ClusterOptions unconverted.
 type Quality = cluster.Quality
 
 const (
@@ -62,6 +63,9 @@ const (
 	// deterministic for a fixed seed, but results are not comparable to
 	// QualityExact's.
 	QualityServing = cluster.QualityServing
+	// QualityMinimal runs one bound-pruned k-means restart. The degradation
+	// ladder applies it at T2 and T3; ParseQuality has no name for it.
+	QualityMinimal = cluster.QualityMinimal
 )
 
 // ParseQuality maps a quality-mode name ("exact", "serving"; "" means exact)
@@ -355,21 +359,12 @@ type ExpandOptions struct {
 	// paper's future-work "interweaving" idea) for up to this many rounds;
 	// 0 disables it.
 	Interleave int
-	// Quality selects the clustering speed/accuracy trade (default
-	// QualityExact). QualityServing cuts cold-expansion latency at a
-	// documented, deterministic accuracy delta — see the package
-	// documentation's "clustering quality modes" section.
+	// Quality selects the clustering effort level (default QualityExact).
+	// QualityServing and QualityMinimal cut cold-expansion latency at a
+	// deterministic accuracy delta — see the package documentation's
+	// "clustering quality modes" section. An undefined level makes Expand
+	// fail.
 	Quality Quality
-	// RestartBudget, when > 0, caps the number of k-means restarts after the
-	// quality mode's own cap (it can only lower the count, never raise it).
-	// The degradation ladder's T2+ tiers set 1. For a fixed
-	// (Quality, RestartBudget) pair output stays bit-identical run to run.
-	RestartBudget int
-	// AggressiveAbandon tightens serving-mode early abandonment: a restart is
-	// abandoned once its distortion exceeds 90% of the best finished restart's
-	// (instead of 100%). No effect under QualityExact (abandonment is off
-	// there). Deterministic for a fixed seed; set by the ladder's T2+ tiers.
-	AggressiveAbandon bool
 }
 
 // ExpandedQuery is one expanded query with its quality against its cluster.
@@ -446,9 +441,8 @@ func (e *Engine) expandKey(raw string, opts ExpandOptions) string {
 		sb.WriteString(term)
 		sb.WriteByte(' ')
 	}
-	fmt.Fprintf(&sb, "|k=%d|top=%d|m=%s|uw=%t|il=%d|q=%d|rb=%d|ab=%t",
-		opts.K, opts.TopK, e.methodLeg(opts), opts.Unweighted, opts.Interleave,
-		opts.Quality, opts.RestartBudget, opts.AggressiveAbandon)
+	fmt.Fprintf(&sb, "|k=%d|top=%d|m=%s|uw=%t|il=%d|q=%d",
+		opts.K, opts.TopK, e.methodLeg(opts), opts.Unweighted, opts.Interleave, opts.Quality)
 	return sb.String()
 }
 
@@ -533,7 +527,7 @@ func (e *Engine) expandFull(ctx context.Context, raw string, opts ExpandOptions,
 	if ex != nil {
 		ex.Query = q.Terms
 		ex.Method = e.methodLeg(opts)
-		ex.Quality = QualityLabel(QualityIndex(opts.Quality))
+		ex.Quality = opts.Quality.String()
 		ex.Results = len(results)
 		ex.Search = explainSearch(opts.TopK, prune)
 		if !prune.Pruned {
@@ -567,7 +561,7 @@ func (e *Engine) expandFull(ctx context.Context, raw string, opts ExpandOptions,
 // options the clustered method m runs with, for at most k clusters under
 // seed: the one Method → solver mapping, shared by the engine and
 // qec-expand. The options are the exact-quality defaults (k-means++, 5
-// restarts); the engine then applies the request's quality and budget.
+// restarts); the engine then applies the request's quality level.
 // Non-clustered methods map to ISKR.
 func ClusteredPipeline(m Method, k int, seed int64) (core.Expander, cluster.Options) {
 	var solver core.Expander
@@ -604,8 +598,6 @@ func (c clusteredExpander) Expand(in ExpandInput) (*Expansion, error) {
 	// which may disagree when MethodName is set.
 	solver, copts := ClusteredPipeline(c.method, k, e.seed)
 	copts.Quality = opts.Quality
-	copts.RestartBudget = opts.RestartBudget
-	copts.AggressiveAbandon = opts.AggressiveAbandon
 	if in.explain != nil {
 		copts.Trail = &cluster.Trail{}
 	}

@@ -5,6 +5,7 @@ package qec
 // tested in internal/server.
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -223,7 +224,7 @@ func TestExpandQualityModesDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for _, q := range []Quality{QualityExact, QualityServing} {
+	for _, q := range []Quality{QualityExact, QualityServing, QualityMinimal} {
 		ref := run(q)
 		for i := 0; i < 2; i++ {
 			sameExpansion(q.String(), ref, run(q))
@@ -231,16 +232,39 @@ func TestExpandQualityModesDeterministic(t *testing.T) {
 	}
 
 	// Distinct cache keys per mode: with a cache attached, requesting the
-	// two modes back to back computes twice (no cross-mode cache hit).
+	// three modes back to back computes three times (no cross-mode hit).
 	e := ambiguousEngine(t, WithExpansionCache(8))
-	if _, err := e.Expand("apple", ExpandOptions{K: 2, Quality: QualityExact}); err != nil {
-		t.Fatal(err)
+	for _, q := range []Quality{QualityExact, QualityServing, QualityMinimal} {
+		if _, err := e.Expand("apple", ExpandOptions{K: 2, Quality: q}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := e.Expand("apple", ExpandOptions{K: 2, Quality: QualityServing}); err != nil {
-		t.Fatal(err)
+	if got := e.CacheStats().Computations; got != 3 {
+		t.Fatalf("computations = %d; want 3 (quality must be part of the cache key)", got)
 	}
-	if got := e.CacheStats().Computations; got != 2 {
-		t.Fatalf("computations = %d; want 2 (quality must be part of the cache key)", got)
+}
+
+// TestExpandRejectsUndefinedQuality: a Quality outside the defined levels is
+// an error, not a silent exact run, and it reaches neither the cache nor
+// the per-quality metrics (whose slot is int(q)).
+func TestExpandRejectsUndefinedQuality(t *testing.T) {
+	e := ambiguousEngine(t, WithExpansionCache(8))
+	for _, q := range []Quality{-1, QualityMinimal + 1, 5} {
+		opts := ExpandOptions{K: 2, Quality: q}
+		if _, err := e.Expand("apple", opts); err == nil {
+			t.Errorf("Expand with %v: no error", q)
+		}
+		if _, _, err := e.ExpandExplained(context.Background(), "apple", opts, nil); err == nil {
+			t.Errorf("ExpandExplained with %v: no error", q)
+		}
+	}
+	if st := e.CacheStats(); st.Entries != 0 {
+		t.Errorf("cache entries = %d; want 0", st.Entries)
+	}
+	for i := range e.Metrics().PerQuality {
+		if n := e.Metrics().PerQuality[i].Snapshot().Count; n != 0 {
+			t.Errorf("quality slot %d recorded %d runs", i, n)
+		}
 	}
 }
 
@@ -256,6 +280,7 @@ func TestParseQuality(t *testing.T) {
 		{"  Exact ", QualityExact, true},
 		{"serving", QualityServing, true},
 		{"SERVING", QualityServing, true},
+		{"minimal", QualityExact, false}, // reached only through the ladder
 		{"fast", QualityExact, false},
 	}
 	for _, tc := range cases {

@@ -7,15 +7,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Telemetry array sizes: the quality tiers (exact, serving) and built-in
-// expansion methods (ISKR, PEBC, DeltaF, OR-ISKR, Vector, Lexical,
+// Telemetry array sizes: the quality levels (exact, serving, minimal) and
+// built-in expansion methods (ISKR, PEBC, DeltaF, OR-ISKR, Vector, Lexical,
 // Orthogonal) are closed enums, so the metrics below are fixed arrays of
 // lock-free histograms — no maps, no registration, nothing to allocate per
 // request. Custom backends registered with WithExpander share one extra
 // "custom" slot.
 const (
-	// NumQualities is the number of clustering quality tiers.
-	NumQualities = 2
+	// NumQualities is the number of clustering quality levels; a level's
+	// metrics slot is int(q) and its label q.String().
+	NumQualities = int(QualityMinimal) + 1
 	// NumMethods is the number of built-in expansion methods.
 	NumMethods = 7
 	// CustomMethodSlot is the shared telemetry slot of all custom backends.
@@ -24,22 +25,6 @@ const (
 	// methods plus the custom slot.
 	NumMethodSlots = NumMethods + 1
 )
-
-// QualityIndex maps a Quality to its metrics slot (0 = exact, 1 = serving).
-func QualityIndex(q Quality) int {
-	if q == QualityServing {
-		return 1
-	}
-	return 0
-}
-
-// QualityLabel names a metrics slot ("exact" / "serving").
-func QualityLabel(i int) string {
-	if i == 1 {
-		return "serving"
-	}
-	return "exact"
-}
 
 // MethodLabel names a method metrics slot in wire form ("iskr", "pebc",
 // "deltaf", "or", "vector", "lexical", "orthogonal", and "custom" for the
@@ -62,7 +47,7 @@ func MethodLabel(i int) string {
 // endpoint.
 type ExpansionMetrics struct {
 	// PerQuality and PerMethod are cold-expansion latency histograms keyed
-	// by QualityIndex / Method ordinal (custom backends land in the shared
+	// by quality level / Method ordinal (custom backends land in the shared
 	// CustomMethodSlot).
 	PerQuality [NumQualities]obs.Histogram
 	PerMethod  [NumMethodSlots]obs.Histogram
@@ -79,7 +64,7 @@ type ExpansionMetrics struct {
 // backend's metrics slot, as resolved by backendFor — the Method ordinal
 // for built-ins, CustomMethodSlot for custom backends.
 func (m *ExpansionMetrics) observe(opts ExpandOptions, slot int, tr *obs.Trace, total time.Duration) {
-	m.PerQuality[QualityIndex(opts.Quality)].Observe(total)
+	m.PerQuality[opts.Quality].Observe(total)
 	if slot < 0 || slot >= NumMethodSlots {
 		slot = 0
 	}

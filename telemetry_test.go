@@ -108,12 +108,14 @@ func TestEngineMetricsRecorded(t *testing.T) {
 	if _, err := e.Expand("apple", ExpandOptions{K: 2, Quality: QualityServing, Method: PEBC}); err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if got := m.PerQuality[QualityIndex(QualityExact)].Snapshot().Count; got != 1 {
-		t.Fatalf("exact runs = %d; want 1", got)
+	if _, err := e.Expand("apple", ExpandOptions{K: 2, Quality: QualityMinimal}); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.PerQuality[QualityIndex(QualityServing)].Snapshot().Count; got != 1 {
-		t.Fatalf("serving runs = %d; want 1", got)
+	m := e.Metrics()
+	for _, q := range []Quality{QualityExact, QualityServing, QualityMinimal} {
+		if got := m.PerQuality[q].Snapshot().Count; got != 1 {
+			t.Fatalf("%v runs = %d; want 1", q, got)
+		}
 	}
 	if got := m.PerMethod[int(PEBC)].Snapshot().Count; got != 1 {
 		t.Fatalf("pebc runs = %d; want 1", got)
@@ -129,11 +131,11 @@ func TestEngineMetricsRecorded(t *testing.T) {
 }
 
 func TestQualityAndMethodLabels(t *testing.T) {
-	if QualityIndex(QualityExact) != 0 || QualityIndex(QualityServing) != 1 {
-		t.Fatal("quality index mapping changed")
-	}
-	if QualityLabel(0) != "exact" || QualityLabel(1) != "serving" {
-		t.Fatal("quality labels changed")
+	// A level's metrics slot is int(q) and its label q.String().
+	for i, w := range [NumQualities]string{"exact", "serving", "minimal"} {
+		if Quality(i).String() != w {
+			t.Fatalf("quality slot %d labelled %q, want %q", i, Quality(i), w)
+		}
 	}
 	want := []string{"iskr", "pebc", "deltaf", "or", "vector", "lexical", "orthogonal", "custom"}
 	for i, w := range want {
