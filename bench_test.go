@@ -225,10 +225,7 @@ func benchClusteringTime(b *testing.B, ds *dataset.Dataset, raw string, topK int
 	ids := search.ResultIDs(eng.Search(q, search.And, topK))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vecs := make([]*cluster.Vector, len(ids))
-		for j, id := range ids {
-			vecs[j] = cluster.VectorFromDocGlobal(ds.Index, id)
-		}
+		vecs := cluster.VectorsFromDocs(ds.Index, ids)
 		cluster.KMeansVecs(ds.Index.NumTerms(), vecs, ids, cluster.Options{K: 3, Seed: 1, PlusPlus: true})
 	}
 }

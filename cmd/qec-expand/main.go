@@ -243,7 +243,7 @@ func printPruneStats(ps *search.PruneStats, topK, results int) {
 }
 
 // printKMeansTrail renders the clustering leg of -explain: each restart's
-// fate under the lockstep driver. Nil-safe.
+// fate under the k-means driver. Nil-safe.
 func printKMeansTrail(trail *cluster.Trail, cl *cluster.Clustering) {
 	if trail == nil {
 		return

@@ -138,7 +138,9 @@
 // (chunked assignment inside the restart fan) or a concurrent one (another
 // request's) runs serially once the budget is spent instead of
 // oversubscribing the CPU. Reductions stay serial and in index
-// order; restarts advance in deterministic lockstep rounds.
+// order. An exact k-means run is one fan over its restarts, each stepped to
+// convergence on its own; only serving mode with two or more restarts
+// advances them in deterministic lockstep rounds.
 //
 // # Clustering quality modes
 //
@@ -160,9 +162,9 @@
 //     abandoned restart would have won (never yielding a better-than-exact
 //     result — the winner comes from a subset of the identical restarts).
 //     Contract: determinism — a fixed seed yields the identical clustering
-//     on every run and worker count, because restarts advance in lockstep
-//     rounds and abandonment decisions are a pure function of iteration
-//     counts, never of goroutine timing.
+//     on every run and worker count, because its restarts advance in
+//     lockstep rounds and abandonment decisions are a pure function of
+//     iteration counts, never of goroutine timing.
 //   - QualityMinimal: one bound-pruned restart — QualityServing with
 //     Restarts 1, so nothing is abandoned. Contract: determinism, as for
 //     serving. It has no wire name: the degradation ladder applies it.

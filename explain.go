@@ -58,7 +58,7 @@ type SearchExplain struct {
 }
 
 // KMeansExplain is the clustering leg: the winning distortion and each
-// restart's fate under the lockstep driver.
+// restart's fate (abandonment happens only in serving mode).
 type KMeansExplain struct {
 	// K is the requested cluster count.
 	K int `json:"k"`
@@ -147,7 +147,8 @@ type SampleExplain struct {
 // cache is bypassed, because a cached result carries no trail; the pipeline
 // is deterministic, so the returned Expansion is bit-identical to what
 // Expand/ExpandTraced would return (and to what sits in the cache). tr may
-// be nil and ctx is honored at round boundaries, exactly as in ExpandTraced.
+// be nil and ctx is honored between k-means iterations and per-cluster solves,
+// exactly as in ExpandTraced.
 func (e *Engine) ExpandExplained(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace) (*Expansion, *Explain, error) {
 	ex := &Explain{}
 	exp, err := e.expandFull(ctx, raw, opts, tr, ex)

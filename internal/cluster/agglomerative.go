@@ -38,10 +38,7 @@ func Agglomerative(idx *index.Index, docs []document.DocID, k int, linkage Linka
 	}
 	// Corpus-global TermID vectors — identical similarities to the per-run
 	// Dict projection they replace, without the interning pass.
-	vecs := make([]*Vector, n)
-	for i, id := range docs {
-		vecs[i] = VectorFromDocGlobal(idx, id)
-	}
+	vecs := VectorsFromDocs(idx, docs)
 	// Pairwise similarity matrix; rows fill in parallel. Row i costs i dot
 	// products; par.For hands rows out one at a time, which keeps the
 	// triangular workload balanced. Each pair (i, j) with j < i is written

@@ -78,12 +78,10 @@ func BenchmarkVectorFromDoc(b *testing.B) {
 func benchAssignState(b *testing.B, n, k int, pruned bool) *runState {
 	b.Helper()
 	idx, ids := benchCorpus(n)
-	vecs := make([]*Vector, n)
-	for i, id := range ids {
-		vecs[i] = VectorFromDocGlobal(idx, id)
-	}
-	return newRunState(newTermSpace(idx.NumTerms(), vecs),
-		Options{K: k, Seed: 1, PlusPlus: true, MaxIter: 50}, pruned)
+	st := &new(scratch).prepare(idx.NumTerms(), VectorsFromDocs(idx, ids),
+		Options{K: k, Seed: 1, PlusPlus: true, MaxIter: 50}, 1, pruned)[0]
+	st.seed()
+	return st
 }
 
 // BenchmarkKMeansAssign measures one parallel assignment step (n points × k
@@ -94,7 +92,7 @@ func benchKMeansAssign(b *testing.B, n, k int) {
 	st := benchAssignState(b, n, k, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.assignFull()
+		st.overRanges(0, (*runState).assignFullRange)
 	}
 }
 
@@ -109,7 +107,7 @@ func BenchmarkKMeansDenseAssign(b *testing.B) {
 	st := benchAssignState(b, 200, 5, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.assignFull()
+		st.overRanges(0, (*runState).assignFullRange)
 	}
 }
 

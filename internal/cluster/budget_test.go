@@ -127,8 +127,8 @@ func TestBudgetOneMatchesSingleRestart(t *testing.T) {
 	}
 }
 
-// TestContextCancellationStopsDrive: a cancelled context stops the lockstep
-// driver at a round boundary — the run ends early instead of converging —
+// TestContextCancellationStopsDrive: a cancelled context stops the driver
+// before its next iteration — the run ends early instead of converging —
 // while an attached-but-live context changes nothing.
 func TestContextCancellationStopsDrive(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 30)

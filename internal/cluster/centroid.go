@@ -19,15 +19,18 @@ type termSpace struct {
 	vecs []*Vector
 }
 
-// newTermSpace builds the local space of vecs, whose IDs lie in [0, dim).
-// The union is a dim-bit bitmap; a point's local ID is its bit's rank,
-// the count of set bits below it.
-func newTermSpace(dim int, vecs []*Vector) termSpace {
-	type word struct {
-		bits uint64
-		base int32 // local ID of the word's lowest set bit
-	}
-	words := make([]word, (dim+63)>>6)
+// spaceWord is one 64-term word of a termSpace's union bitmap.
+type spaceWord struct {
+	bits uint64
+	base int32 // local ID of the word's lowest set bit
+}
+
+// termSpace builds the local space of vecs, whose IDs lie in [0, dim), in
+// s's buffers. The union is a dim-bit bitmap; a point's local ID is its
+// bit's rank, the count of set bits below it.
+func (s *scratch) termSpace(dim int, vecs []*Vector) termSpace {
+	words := fit(&s.words, (dim+63)>>6)
+	clear(words)
 	nnz := 0
 	for _, v := range vecs {
 		nnz += len(v.ids)
@@ -41,12 +44,11 @@ func newTermSpace(dim int, vecs []*Vector) termSpace {
 		l += bits.OnesCount64(words[i].bits)
 	}
 
-	arena := make([]int32, nnz)
-	local := make([]Vector, len(vecs))
-	out := make([]*Vector, len(vecs))
+	arena := fit(&s.arena, nnz)
+	local := fit(&s.local, len(vecs))
+	out := fit(&s.vecs, len(vecs))
 	for i, v := range vecs {
-		ids := arena[:len(v.ids):len(v.ids)]
-		arena = arena[len(v.ids):]
+		ids := take(&arena, len(v.ids))
 		for j, id := range v.ids {
 			w := words[id>>6]
 			ids[j] = w.base + int32(bits.OnesCount64(w.bits&(1<<(id&63)-1)))

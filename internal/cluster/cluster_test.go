@@ -214,19 +214,9 @@ func TestCosineMatchesMapReference(t *testing.T) {
 	}
 }
 
-// docVectors builds the documents' TF vectors over the corpus-global TermID
-// space — the input KMeansVecs and Silhouette take.
-func docVectors(idx *index.Index, docs []document.DocID) []*Vector {
-	vecs := make([]*Vector, len(docs))
-	for i, id := range docs {
-		vecs[i] = VectorFromDocGlobal(idx, id)
-	}
-	return vecs
-}
-
 // kmeans clusters documents of idx through KMeansVecs.
 func kmeans(idx *index.Index, docs []document.DocID, opts Options) *Clustering {
-	return KMeansVecs(idx.NumTerms(), docVectors(idx, docs), docs, opts)
+	return KMeansVecs(idx.NumTerms(), VectorsFromDocs(idx, docs), docs, opts)
 }
 
 // twoTopicIndex builds a corpus with two clearly separated vocabularies.
@@ -501,7 +491,7 @@ func TestPurityPerfectAndWorst(t *testing.T) {
 func TestSilhouetteSeparatedHigherThanRandom(t *testing.T) {
 	idx, ids, _ := twoTopicIndex(t, 10)
 	good := kmeans(idx, ids, Options{K: 2, Seed: 1, PlusPlus: true})
-	vecs := docVectors(idx, ids)
+	vecs := VectorsFromDocs(idx, ids)
 	s := Silhouette(vecs, ids, good)
 	if s <= 0.1 {
 		t.Errorf("silhouette of separated clustering = %v, want > 0.1", s)

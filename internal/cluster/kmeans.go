@@ -4,8 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/document"
@@ -26,7 +27,7 @@ type Clustering struct {
 	Distortion float64
 	// Iterations is the number of refinement rounds performed.
 	Iterations int
-	// Restarts, TotalIterations and AbandonedRestarts are the lockstep
+	// Restarts, TotalIterations and AbandonedRestarts are the k-means
 	// driver's bookkeeping: restarts launched, iterations summed across all
 	// of them, and restarts abandoned early (serving mode only). They feed
 	// the telemetry layer and never influence the clustering itself; zero
@@ -103,16 +104,16 @@ type Options struct {
 	PlusPlus bool
 	// Restarts runs the whole algorithm this many times with derived seeds
 	// and keeps the clustering with the lowest distortion. 0 or 1 means a
-	// single run. Restarts share one vector set and run in deterministic
-	// lockstep rounds. In QualityExact every restart runs to convergence
-	// (the selection is bit-identical to a serial loop); QualityServing
-	// additionally abandons a restart whose running distortion already
-	// exceeds the best completed restart's.
+	// single run. Restarts share one vector set. In QualityExact every
+	// restart runs to convergence on its own (the selection is bit-identical
+	// to a serial loop); QualityServing advances its restarts in
+	// deterministic lockstep rounds and abandons a restart whose running
+	// distortion already exceeds the best completed restart's.
 	Restarts int
 	// Quality selects the effort level (default QualityExact); it caps
 	// Restarts and switches on bound-pruned assignment.
 	Quality Quality
-	// Ctx, when non-nil, is checked at lockstep round boundaries: once it is
+	// Ctx, when non-nil, is checked before each iteration: once it is
 	// cancelled the driver stops stepping and returns immediately, so a
 	// disconnected client frees its worker mid-run instead of finishing a
 	// clustering nobody reads. The returned clustering is then partial —
@@ -129,7 +130,7 @@ type Options struct {
 }
 
 // Trail is the clustering leg of a query EXPLAIN: one entry per restart the
-// lockstep driver launched, in restart index order.
+// driver launched, in restart index order.
 type Trail struct {
 	Restarts []RestartTrail
 }
@@ -160,15 +161,17 @@ func (o *Options) defaults() {
 
 // KMeansVecs clusters documents by the cosine distance of their TF vectors:
 // vecs[i] is the vector of docs[i] over a dim-sized TermID space (what
-// VectorFromDocGlobal builds; the expansion pipeline takes them from its
+// VectorsFromDocs builds; the expansion pipeline takes them from its
 // universe snapshot, which shares them with problem construction). The
 // vectors are treated as read-only. Empty input yields an empty clustering.
 //
 // Deterministic for a fixed seed regardless of worker count: per-point work
 // is data-parallel, every floating-point reduction (distortion, the D²
 // total) is accumulated serially in index order after the parallel phase,
-// and restarts advance in lockstep rounds so early-abandon decisions never
-// depend on goroutine scheduling.
+// restarts own disjoint state, and the winner is picked by a serial scan in
+// restart index order. Only serving mode with two or more restarts, where
+// one restart's progress can abandon another, advances them in lockstep
+// rounds (see kmeansDrive).
 //
 // The restarts run in the call's local term space (see termSpace): the
 // union of the vectors' TermIDs renumbered densely in ascending order.
@@ -200,69 +203,46 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 	return kmeansDrive(dim, vecs, docs, opts, restarts, pruned, pruned && restarts > 1)
 }
 
-// kmeansDrive runs restarts k-means runs over the shared vectors in
-// deterministic lockstep rounds and returns the best clustering.
+// kmeansDrive runs restarts k-means runs over the shared vectors and returns
+// the best clustering: the first restart, in index order, with the lowest
+// distortion. Every buffer of the drive comes from one pooled scratch.
+//
+// With abandon off no restart reads another's progress, so one par.For over
+// the restarts seeds each and steps it to convergence, checking opts.Ctx
+// before every iteration.
 //
 // Lockstep is the determinism mechanism for early abandonment (abandon is
-// only set in serving mode): each round advances every live restart by one
-// iteration (fanned through par.For — restarts own disjoint state), then
+// only set in serving mode with two or more restarts): each round advances
+// every live restart by one iteration (fanned through par.For), then
 // bookkeeping runs serially in restart index order, so "which restarts had
 // completed when restart r was checked" is a pure function of the iteration
 // counts, never of goroutine timing. A restart is abandoned when its running
 // distortion strictly exceeds the best completed restart's final distortion.
-// With abandon off the driver reduces to "run every restart to convergence,
-// first lowest distortion wins" — the historical serial semantics, bit for
-// bit; every restart's own arithmetic is unchanged either way.
+// Every restart's own arithmetic is the same in both drives.
 func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 	restarts int, pruned, abandon bool) *Clustering {
 
-	sp := newTermSpace(dim, vecs)
-	states := make([]*runState, restarts)
-	par.For(restarts, func(r int) {
-		ro := opts
-		ro.Seed = opts.Seed + int64(r)*7919 // distinct derived seeds
-		states[r] = newRunState(sp, ro, pruned)
-	})
-
-	bestDone := math.Inf(1)
-	hasDone := false
-	live := make([]*runState, 0, restarts)
-	for {
-		// Round boundary: a cancelled request stops the drive right here —
-		// between rounds, never inside one, so a run that finishes is
-		// bit-identical whether or not a context was attached.
-		if ctx := opts.Ctx; ctx != nil && ctx.Err() != nil {
-			break
-		}
-		live = live[:0]
-		for _, st := range states {
-			if !st.done && !st.abandoned {
-				live = append(live, st)
-			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		par.For(len(live), func(i int) { live[i].step() })
-		// Serial bookkeeping in restart index order: completions first, then
-		// abandonment against the updated best.
-		for _, st := range states {
-			if st.done && st.distortion < bestDone {
-				bestDone = st.distortion
-				hasDone = true
-			}
-		}
-		if abandon && hasDone {
-			for _, st := range states {
-				if !st.done && st.distortion > bestDone {
-					st.abandoned = true
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	runs := s.prepare(dim, vecs, opts, restarts, pruned)
+	if abandon {
+		lockstep(opts.Ctx, runs)
+	} else {
+		par.For(len(runs), func(r int) {
+			st := &runs[r]
+			st.seed()
+			for !st.done {
+				if ctx := opts.Ctx; ctx != nil && ctx.Err() != nil {
+					return
 				}
+				st.step()
 			}
-		}
+		})
 	}
 
 	var best *runState
-	for _, st := range states {
+	for r := range runs {
+		st := &runs[r]
 		if st.abandoned {
 			continue
 		}
@@ -275,14 +255,15 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 	if opts.Trail != nil {
 		opts.Trail.Restarts = make([]RestartTrail, restarts)
 	}
-	for r, st := range states {
+	for r := range runs {
+		st := &runs[r]
 		cl.TotalIterations += st.iters
 		if st.abandoned {
 			cl.AbandonedRestarts++
 		}
 		if opts.Trail != nil {
 			opts.Trail.Restarts[r] = RestartTrail{
-				Seed:       opts.Seed + int64(r)*7919,
+				Seed:       st.rngSeed,
 				Iterations: st.iters,
 				Distortion: st.distortion,
 				Abandoned:  st.abandoned,
@@ -293,20 +274,174 @@ func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
 	return cl
 }
 
-// runState is one k-means run advanced iteration-by-iteration by the lockstep
-// driver. All fields are owned by the run; the driver only reads distortion /
+// lockstep seeds runs, then advances them in rounds until every run is done
+// or abandoned, or ctx is cancelled.
+func lockstep(ctx context.Context, runs []runState) {
+	par.For(len(runs), func(r int) { runs[r].seed() })
+	bestDone := math.Inf(1)
+	hasDone := false
+	live := make([]*runState, 0, len(runs))
+	for {
+		// Round boundary: a cancelled request stops the drive right here —
+		// between rounds, never inside one, so a run that finishes is
+		// bit-identical whether or not a context was attached.
+		if ctx != nil && ctx.Err() != nil {
+			return
+		}
+		live = live[:0]
+		for r := range runs {
+			if st := &runs[r]; !st.done && !st.abandoned {
+				live = append(live, st)
+			}
+		}
+		if len(live) == 0 {
+			return
+		}
+		par.For(len(live), func(i int) { live[i].step() })
+		// Serial bookkeeping in restart index order: completions first, then
+		// abandonment against the updated best.
+		for r := range runs {
+			if st := &runs[r]; st.done && st.distortion < bestDone {
+				bestDone = st.distortion
+				hasDone = true
+			}
+		}
+		if hasDone {
+			for r := range runs {
+				if st := &runs[r]; !st.done && st.distortion > bestDone {
+					st.abandoned = true
+				}
+			}
+		}
+	}
+}
+
+// scratch holds every buffer of one drive: the local term space and each
+// run's centroids, assignment, distances, groups and bound arrays, carved
+// from a few slabs. scratchPool hands one to each drive, so a
+// steady stream of requests reuses the same memory instead of allocating it
+// per restart. No returned Clustering aliases it (buildClustering copies).
+type scratch struct {
+	// Pointer-free slabs: reused as they are.
+	words  []spaceWord
+	arena  []int32
+	floats []float64
+	ints   []int
+	// Pointer-holding slabs: release clears them, or the pool would keep
+	// the last request's vectors (and their weight arenas) live.
+	local   []Vector
+	vecs    []*Vector
+	members []*Vector
+	groups  [][]*Vector
+	cents   []centroid
+	runs    []runState
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears every pointer-holding slab and returns s to the pool.
+func (s *scratch) release() {
+	clear(s.local)
+	clear(s.vecs)
+	clear(s.members)
+	clear(s.groups)
+	clear(s.cents)
+	clear(s.runs)
+	scratchPool.Put(s)
+}
+
+// fit returns (*buf)[:n], replacing *buf by a fresh n-element slice when its
+// capacity is short.
+func fit[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// take cuts the next n elements off *slab, capacity-limited so appends can
+// never run into a neighbour.
+func take[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// prepare builds the local term space of vecs and carves restarts unseeded
+// runs from s, run r with the derived seed opts.Seed + r·7919.
+func (s *scratch) prepare(dim int, vecs []*Vector, opts Options, restarts int, pruned bool) []runState {
+	sp := s.termSpace(dim, vecs)
+	n, l := len(sp.vecs), sp.size
+	k := min(opts.K, n)
+	// Per run: k centroids' cells plus the spare accumulator, and dists;
+	// pruned runs add ub, lb and drift.
+	perRun := (k+1)*l + n
+	if pruned {
+		perRun += 2*n + k
+	}
+	floats := fit(&s.floats, restarts*perRun)
+	// Per run: the assignment and the group sizes. A run cancelled before
+	// its first step is still read by the winner scan, so its assignment
+	// must name valid clusters.
+	ints := fit(&s.ints, restarts*(n+k))
+	clear(ints)
+	members := fit(&s.members, restarts*n)
+	groups := fit(&s.groups, restarts*k)
+	cents := fit(&s.cents, restarts*k)
+	runs := fit(&s.runs, restarts)
+	for r := range runs {
+		st := &runs[r]
+		*st = runState{
+			vecs:     sp.vecs,
+			k:        k,
+			maxIter:  opts.MaxIter,
+			pruned:   pruned,
+			plusPlus: opts.PlusPlus,
+			rngSeed:  opts.Seed + int64(r)*7919, // distinct derived seeds
+			cents:    take(&cents, k),
+			groups:   take(&groups, k),
+			members:  take(&members, n),
+			sizes:    take(&ints, k),
+			assign:   take(&ints, n),
+			dists:    take(&floats, n),
+		}
+		for c := range st.cents {
+			st.cents[c] = centroid{vals: take(&floats, l)}
+		}
+		st.acc = take(&floats, l)
+		if pruned {
+			st.ub = take(&floats, n)
+			st.lb = take(&floats, n)
+			st.drift = take(&floats, k)
+		}
+	}
+	return runs
+}
+
+// runState is one k-means run, seeded by seed and advanced by step. All
+// fields are owned by the run; the lockstep driver only reads distortion /
 // done / abandoned at round boundaries.
 type runState struct {
-	vecs    []*Vector // over the local term space
-	k       int
-	maxIter int
-	pruned  bool
+	vecs     []*Vector // over the local term space
+	k        int
+	maxIter  int
+	pruned   bool
+	plusPlus bool
+	rngSeed  int64
 
 	cents  []centroid
 	acc    []float64 // the spare L-cell buffer the next centroid update fills
 	assign []int
-	dists  []float64
-	groups [][]*Vector
+	// dists holds each point's distance to its centroid; k-means++ seeding
+	// keeps the nearest-centroid distances there until the first
+	// assignment overwrites them.
+	dists []float64
+	// groups[c] lists centroid c's points in index order, a contiguous run
+	// of members of length sizes[c].
+	groups  [][]*Vector
+	members []*Vector
+	sizes   []int
 
 	// Hamerly single-bound state (pruned mode), in chord space √(2·cosDist):
 	// ub[i] bounds the distance to the assigned centroid from above, lb[i]
@@ -337,88 +472,57 @@ func chordDist(d float64) float64 {
 	return math.Sqrt(2 * d)
 }
 
-// newRunState seeds one run (uniform or k-means++) over the local space sp
-// exactly like the sparse implementation: the rng draw sequence is
-// unchanged because every distance the D² scan consumes is bit-identical to
-// its merge-join counterpart. One slab holds the k centroids' cells and the
-// spare accumulator, another the k groups.
-func newRunState(sp termSpace, opts Options, pruned bool) *runState {
-	vecs := sp.vecs
-	n, l := len(vecs), sp.size
-	k := opts.K
-	if k > n {
-		k = n
+// overRanges calls body(st, c, lo, hi) on ranges that cover the run's
+// points and reports whether any call returned true. Below par.MinChunk it
+// makes one direct call and, body being a method expression, allocates
+// nothing; only larger sets build the closure par.Chunks needs.
+func (st *runState) overRanges(c int, body func(st *runState, c, lo, hi int) bool) bool {
+	n := len(st.vecs)
+	if n < par.MinChunk {
+		return body(st, c, 0, n)
 	}
-	slab := make([]float64, (k+1)*l)
-	st := &runState{
-		vecs:    vecs,
-		k:       k,
-		maxIter: opts.MaxIter,
-		pruned:  pruned,
-		cents:   make([]centroid, k),
-		acc:     slab[k*l:],
-		assign:  make([]int, n),
-		dists:   make([]float64, n),
-		groups:  make([][]*Vector, k),
-	}
-	// Each group can hold every point, so regrouping never reallocates.
-	members := make([]*Vector, k*n)
-	for c := range st.cents {
-		st.cents[c].vals = slab[c*l : (c+1)*l : (c+1)*l]
-		st.groups[c] = members[c*n : c*n : (c+1)*n]
-	}
-	if pruned {
-		st.ub = make([]float64, n)
-		st.lb = make([]float64, n)
-		st.drift = make([]float64, k)
-	}
-	rng := seedrand.New(opts.Seed)
-	if opts.PlusPlus {
-		st.seedPlusPlus(rng)
-	} else {
-		perm := rng.Perm(n)
-		for c := range st.cents {
-			st.cents[c].setFromVector(vecs[perm[c]])
+	var hit atomic.Bool
+	par.Chunks(n, func(lo, hi int) {
+		if body(st, c, lo, hi) {
+			hit.Store(true)
 		}
+	})
+	return hit.Load()
+}
+
+// seed places the run's initial centroids (uniform or k-means++) exactly
+// like the sparse implementation: the rng draw sequence is unchanged
+// because every distance the D² scan consumes is bit-identical to its
+// merge-join counterpart.
+func (st *runState) seed() {
+	rng := seedrand.New(st.rngSeed)
+	if st.plusPlus {
+		st.seedPlusPlus(rng)
+		return
 	}
-	return st
+	perm := rng.Perm(len(st.vecs))
+	for c := range st.cents {
+		st.cents[c].setFromVector(st.vecs[perm[c]])
+	}
 }
 
 // seedPlusPlus implements k-means++ seeding under cosine distance. The
 // nearest-centroid distance of every point is maintained incrementally (a
 // left-fold min, exactly the scan order of the full rescan it replaces) and
-// the per-round update against the newest centroid runs in parallel; the D²
+// the per-round update against the newest centroid runs over ranges; the D²
 // total is then summed serially in index order, so the rng draw sequence —
 // and hence the seeding — matches the sparse implementation bit for bit.
 func (st *runState) seedPlusPlus(rng *rand.Rand) {
-	vecs := st.vecs
+	vecs, best := st.vecs, st.dists
 	n := len(vecs)
-	first := &st.cents[0]
-	first.setFromVector(vecs[rng.Intn(n)])
-	best := make([]float64, n)
-	par.Chunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			best[i] = first.cosDist(vecs[i])
-		}
-	})
-	// fold merges a newly placed centroid into best. Placing in order keeps
-	// best equal to the scalar implementation's per-round left-fold over all
-	// centroids (min via strict <, no arithmetic), bit for bit.
-	fold := func(c *centroid) {
-		par.Chunks(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if d := c.cosDist(vecs[i]); d < best[i] {
-					best[i] = d
-				}
-			}
-		})
+	st.cents[0].setFromVector(vecs[rng.Intn(n)])
+	if st.k > 1 {
+		st.overRanges(0, (*runState).foldRange)
 	}
-	d2 := make([]float64, n)
 	for placed := 1; placed < st.k; placed++ {
 		total := 0.0
-		for i, b := range best {
-			d2[i] = b * b
-			total += d2[i]
+		for _, b := range best {
+			total += b * b
 		}
 		var pickVec *Vector
 		if total == 0 {
@@ -428,8 +532,8 @@ func (st *runState) seedPlusPlus(rng *rand.Rand) {
 			r := rng.Float64() * total
 			acc := 0.0
 			pick := n - 1
-			for i, d := range d2 {
-				acc += d
+			for i, b := range best {
+				acc += b * b
 				if acc >= r {
 					pick = i
 					break
@@ -439,9 +543,23 @@ func (st *runState) seedPlusPlus(rng *rand.Rand) {
 		}
 		st.cents[placed].setFromVector(pickVec)
 		if placed+1 < st.k {
-			fold(&st.cents[placed]) // the last centroid seeds no further round
+			st.overRanges(placed, (*runState).foldRange) // the last centroid seeds no further round
 		}
 	}
+}
+
+// foldRange merges the newly placed centroid c into the nearest-centroid
+// distances in dists over [lo, hi); centroid 0 initializes them. Placing in
+// order keeps them equal to the scalar implementation's per-round left-fold
+// over all centroids (min via strict <, no arithmetic), bit for bit.
+func (st *runState) foldRange(c, lo, hi int) bool {
+	cent := &st.cents[c]
+	for i := lo; i < hi; i++ {
+		if d := cent.cosDist(st.vecs[i]); c == 0 || d < st.dists[i] {
+			st.dists[i] = d
+		}
+	}
+	return false
 }
 
 // step advances the run by one iteration: assignment, distortion reduction,
@@ -454,9 +572,9 @@ func (st *runState) step() {
 
 	var changed bool
 	if st.pruned && iter > 0 {
-		changed = st.assignPruned()
+		changed = st.overRanges(0, (*runState).assignPrunedRange)
 	} else {
-		changed = st.assignFull()
+		changed = st.overRanges(0, (*runState).assignFullRange)
 	}
 
 	// Serial reduction in index order keeps the distortion bit-identical to
@@ -478,9 +596,16 @@ func (st *runState) step() {
 		return
 	}
 
-	// Recompute centroids from the new assignment.
-	for c := range st.groups {
-		st.groups[c] = st.groups[c][:0]
+	// Recompute centroids from the new assignment, regrouping by counting
+	// sort: each group keeps its points in index order.
+	clear(st.sizes)
+	for _, c := range st.assign {
+		st.sizes[c]++
+	}
+	start := 0
+	for c, size := range st.sizes {
+		st.groups[c] = st.members[start : start : start+size]
+		start += size
 	}
 	for i, v := range st.vecs {
 		st.groups[st.assign[i]] = append(st.groups[st.assign[i]], v)
@@ -502,101 +627,90 @@ func (st *runState) step() {
 	}
 }
 
-// assignFull reassigns every point by scanning all centroids — the exact
-// path, and the bound-initializing first iteration of the pruned path. Each
-// worker owns a disjoint index range and reads the shared centroids, so the
-// step is race-free and its output independent of the worker count.
-func (st *runState) assignFull() bool {
-	var changed atomic.Bool
+// assignFullRange reassigns the points of [lo, hi) by scanning all
+// centroids — the exact path, and the bound-initializing first iteration of
+// the pruned path — and reports whether any assignment changed. Ranges are
+// disjoint and only read the shared centroids, so the step is race-free and
+// its output independent of the worker count.
+func (st *runState) assignFullRange(_, lo, hi int) bool {
 	vecs, cents := st.vecs, st.cents
-	par.Chunks(len(vecs), func(lo, hi int) {
-		ch := false
-		for i := lo; i < hi; i++ {
-			v := vecs[i]
-			best, bestD := 0, cents[0].cosDist(v)
-			second := math.Inf(1)
-			for c := 1; c < len(cents); c++ {
-				if d := cents[c].cosDist(v); d < bestD {
-					second = bestD
-					best, bestD = c, d
-				} else if d < second {
-					second = d
-				}
-			}
-			if st.assign[i] != best {
-				st.assign[i] = best
-				ch = true
-			}
-			st.dists[i] = bestD
-			if st.pruned {
-				st.ub[i] = chordDist(bestD)
-				st.lb[i] = chordDist(second)
+	changed := false
+	for i := lo; i < hi; i++ {
+		v := vecs[i]
+		best, bestD := 0, cents[0].cosDist(v)
+		second := math.Inf(1)
+		for c := 1; c < len(cents); c++ {
+			if d := cents[c].cosDist(v); d < bestD {
+				second = bestD
+				best, bestD = c, d
+			} else if d < second {
+				second = d
 			}
 		}
-		if ch {
-			changed.Store(true)
+		if st.assign[i] != best {
+			st.assign[i] = best
+			changed = true
 		}
-	})
-	return changed.Load()
+		st.dists[i] = bestD
+		if st.pruned {
+			st.ub[i] = chordDist(bestD)
+			st.lb[i] = chordDist(second)
+		}
+	}
+	return changed
 }
 
-// assignPruned is the Hamerly-style single-bound assignment: after the last
-// update moved centroid c by drift[c] (chord space), a point whose upper
-// bound to its assigned centroid stays below its lower bound to all others
-// cannot change assignment and skips every distance computation. Points that
-// fail the cheap test first tighten the upper bound with one exact distance,
-// and only then fall back to the full scan (which restores exact bounds).
-// Pruning is lossless for the assignment: the triangle inequality in chord
-// space plus boundSlack guarantees a skipped point's argmin is unchanged, so
-// the final clustering matches the unpruned run's (pinned by a property
-// test).
-func (st *runState) assignPruned() bool {
+// assignPrunedRange is the Hamerly-style single-bound assignment over
+// [lo, hi): after the last update moved centroid c by drift[c] (chord
+// space), a point whose upper bound to its assigned centroid stays below its
+// lower bound to all others cannot change assignment and skips every
+// distance computation. Points that fail the cheap test first tighten the
+// upper bound with one exact distance, and only then fall back to the full
+// scan (which restores exact bounds). Pruning is lossless for the
+// assignment: the triangle inequality in chord space plus boundSlack
+// guarantees a skipped point's argmin is unchanged, so the final clustering
+// matches the unpruned run's (pinned by a property test).
+func (st *runState) assignPrunedRange(_, lo, hi int) bool {
 	maxDrift := 0.0
 	for _, d := range st.drift {
 		if d > maxDrift {
 			maxDrift = d
 		}
 	}
-	var changed atomic.Bool
 	vecs, cents := st.vecs, st.cents
-	par.Chunks(len(vecs), func(lo, hi int) {
-		ch := false
-		for i := lo; i < hi; i++ {
-			st.ub[i] += st.drift[st.assign[i]]
-			st.lb[i] -= maxDrift
-			if st.ub[i]+boundSlack < st.lb[i] {
-				continue // cannot have changed assignment; dists[i] is stale
-			}
-			v := vecs[i]
-			dA := cents[st.assign[i]].cosDist(v)
-			st.ub[i] = chordDist(dA)
-			st.dists[i] = dA
-			if st.ub[i]+boundSlack < st.lb[i] {
-				continue
-			}
-			best, bestD := 0, cents[0].cosDist(v)
-			second := math.Inf(1)
-			for c := 1; c < len(cents); c++ {
-				if d := cents[c].cosDist(v); d < bestD {
-					second = bestD
-					best, bestD = c, d
-				} else if d < second {
-					second = d
-				}
-			}
-			if st.assign[i] != best {
-				st.assign[i] = best
-				ch = true
-			}
-			st.dists[i] = bestD
-			st.ub[i] = chordDist(bestD)
-			st.lb[i] = chordDist(second)
+	changed := false
+	for i := lo; i < hi; i++ {
+		st.ub[i] += st.drift[st.assign[i]]
+		st.lb[i] -= maxDrift
+		if st.ub[i]+boundSlack < st.lb[i] {
+			continue // cannot have changed assignment; dists[i] is stale
 		}
-		if ch {
-			changed.Store(true)
+		v := vecs[i]
+		dA := cents[st.assign[i]].cosDist(v)
+		st.ub[i] = chordDist(dA)
+		st.dists[i] = dA
+		if st.ub[i]+boundSlack < st.lb[i] {
+			continue
 		}
-	})
-	return changed.Load()
+		best, bestD := 0, cents[0].cosDist(v)
+		second := math.Inf(1)
+		for c := 1; c < len(cents); c++ {
+			if d := cents[c].cosDist(v); d < bestD {
+				second = bestD
+				best, bestD = c, d
+			} else if d < second {
+				second = d
+			}
+		}
+		if st.assign[i] != best {
+			st.assign[i] = best
+			changed = true
+		}
+		st.dists[i] = bestD
+		st.ub[i] = chordDist(bestD)
+		st.lb[i] = chordDist(second)
+	}
+	return changed
 }
 
 // exactDistortion recomputes every point's distance to its assigned centroid
@@ -604,12 +718,7 @@ func (st *runState) assignPruned() bool {
 // assignment pass would have produced, making a pruned run's final distortion
 // bit-identical to the unpruned run it matches.
 func (st *runState) exactDistortion() {
-	vecs := st.vecs
-	par.Chunks(len(vecs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st.dists[i] = st.cents[st.assign[i]].cosDist(vecs[i])
-		}
-	})
+	st.overRanges(0, (*runState).distRange)
 	d := 0.0
 	for _, x := range st.dists {
 		d += x
@@ -617,21 +726,42 @@ func (st *runState) exactDistortion() {
 	st.distortion = d
 }
 
+// distRange sets dists over [lo, hi) to each point's distance to its
+// assigned centroid.
+func (st *runState) distRange(_, lo, hi int) bool {
+	for i := lo; i < hi; i++ {
+		st.dists[i] = st.cents[st.assign[i]].cosDist(st.vecs[i])
+	}
+	return false
+}
+
 // buildClustering converts an assignment array into a Clustering, dropping
-// empty clusters and renumbering.
+// empty clusters and renumbering. One array holds every cluster's IDs, each
+// cluster a capacity-capped run of it.
 func buildClustering(docs []document.DocID, assign []int, k int, distortion float64, iters int) *Clustering {
+	sizes := make([]int, k)
+	for _, c := range assign {
+		sizes[c]++
+	}
 	byCluster := make([][]document.DocID, k)
+	all := make([]document.DocID, len(docs))
+	start := 0
+	for c, size := range sizes {
+		byCluster[c] = all[start : start : start+size]
+		start += size
+	}
 	for i, id := range docs {
 		c := assign[i]
 		byCluster[c] = append(byCluster[c], id)
 	}
-	out := &Clustering{Assign: make([]int, len(docs)), Distortion: distortion, Iterations: iters}
-	ord := make([]int, k)
+	out := &Clustering{Clusters: make([][]document.DocID, 0, k), Assign: make([]int, len(docs)),
+		Distortion: distortion, Iterations: iters}
+	ord := sizes // the sizes are spent; reuse the slice for the ordinals
 	for c, ids := range byCluster {
 		if len(ids) == 0 {
 			continue
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		ord[c] = len(out.Clusters)
 		out.Clusters = append(out.Clusters, ids)
 	}

@@ -35,15 +35,6 @@ func randomCorpus(seed int64, n int) (*index.Index, []document.DocID) {
 	return index.Build(c, analysis.Simple()), ids
 }
 
-// vecsOf materializes the global-TermID vectors of a corpus.
-func vecsOf(idx *index.Index, ids []document.DocID) []*Vector {
-	vecs := make([]*Vector, len(ids))
-	for i, id := range ids {
-		vecs[i] = VectorFromDocGlobal(idx, id)
-	}
-	return vecs
-}
-
 // TestPrunedAssignmentMatchesUnpruned is the losslessness property of the
 // Hamerly single-bound skip: on random corpora, a run with bound-pruned
 // assignment produces the identical final clustering — membership,
@@ -53,7 +44,7 @@ func vecsOf(idx *index.Index, ids []document.DocID) []*Vector {
 func TestPrunedAssignmentMatchesUnpruned(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		idx, ids := randomCorpus(seed, 40+int(seed%7)*25)
-		vecs := vecsOf(idx, ids)
+		vecs := VectorsFromDocs(idx, ids)
 		opts := Options{K: 2 + int(seed%4), Seed: seed, PlusPlus: seed%2 == 0, MaxIter: 50}
 		pruned := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true, false)
 		full := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, false, false)
@@ -70,7 +61,7 @@ func TestEarlyAbandonNeverBeatsFull(t *testing.T) {
 	const trials = 25
 	for seed := int64(0); seed < trials; seed++ {
 		idx, ids := randomCorpus(seed, 60)
-		vecs := vecsOf(idx, ids)
+		vecs := VectorsFromDocs(idx, ids)
 		opts := Options{K: 4, Seed: seed, PlusPlus: true, MaxIter: 50}
 		abandoning := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true, true)
 		full := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true, false)
@@ -145,8 +136,8 @@ func TestQualityStringNames(t *testing.T) {
 // centroid, to exercise the double-buffer swap.
 func TestDenseCentroidMatchesSparseMean(t *testing.T) {
 	idx, ids := randomCorpus(13, 30)
-	vecs := vecsOf(idx, ids)
-	sp := newTermSpace(idx.NumTerms(), vecs)
+	vecs := VectorsFromDocs(idx, ids)
+	sp := new(scratch).termSpace(idx.NumTerms(), vecs)
 	terms := globalIDs(t, sp, vecs)
 	c := &centroid{vals: make([]float64, sp.size)}
 	c.setFromVector(sp.vecs[0])
@@ -212,10 +203,10 @@ func globalIDs(t *testing.T, sp termSpace, vecs []*Vector) []int32 {
 func TestTermSpaceRenumbersInOrder(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		idx, ids := randomCorpus(seed, 20+int(seed)*20)
-		vecs := append(vecsOf(idx, ids), newVectorSorted(nil, nil))
-		globalIDs(t, newTermSpace(idx.NumTerms(), vecs), vecs)
+		vecs := append(VectorsFromDocs(idx, ids), newVectorSorted(nil, nil))
+		globalIDs(t, new(scratch).termSpace(idx.NumTerms(), vecs), vecs)
 	}
-	if sp := newTermSpace(10, nil); sp.size != 0 || len(sp.vecs) != 0 {
+	if sp := new(scratch).termSpace(10, nil); sp.size != 0 || len(sp.vecs) != 0 {
 		t.Fatalf("empty input: size %d, %d vectors", sp.size, len(sp.vecs))
 	}
 }

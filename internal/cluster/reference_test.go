@@ -77,7 +77,7 @@ type refRun struct {
 
 // refKMeansRun is one exact-mode restart written as plainly as possible:
 // the seeding draws, the assignment, the distortion and the mean update
-// the lockstep driver runs, over string-keyed maps.
+// the k-means driver runs, over string-keyed maps.
 func refKMeansRun(pts []refVec, opts Options) refRun {
 	n := len(pts)
 	k := opts.K

@@ -125,7 +125,7 @@ func (d *Dict) Vector(weights map[string]float64) *Vector {
 // onto this dictionary's local ID space. Because the index keeps DocTermIDs
 // sorted and both ID orders are lexicographic, the output slices come out
 // sorted without a per-vector sort. Corpus-backed clustering no longer
-// interns a per-run Dict — see VectorFromDocGlobal — so this path serves
+// interns a per-run Dict — see VectorsFromDocs — so this path serves
 // standalone dictionaries and tests.
 func (d *Dict) VectorFromDoc(idx *index.Index, id document.DocID) *Vector {
 	terms := idx.DocTerms(id)
@@ -141,19 +141,35 @@ func (d *Dict) VectorFromDoc(idx *index.Index, id document.DocID) *Vector {
 	return newVectorSorted(ids, ws)
 }
 
-// VectorFromDocGlobal builds the TF vector of a document over the index's
-// corpus-global TermID space: the ID slice is the document's arena slice
-// itself (shared, read-only — Vector never mutates its ids in place) and only
-// the weights are materialized. No dictionary, no string, no per-run
-// interning. Global TermIDs are lexicographic like Dict IDs, so dot products
-// and norms accumulate in the identical order.
-func VectorFromDocGlobal(idx *index.Index, id document.DocID) *Vector {
-	freqs := idx.DocTermFreqs(id)
-	ws := make([]float64, len(freqs))
-	for i, f := range freqs {
-		ws[i] = float64(f)
+// VectorsFromDocs builds the TF vectors of documents over the index's
+// corpus-global TermID space, one per id in order: each ID slice is the
+// document's arena slice itself (shared, read-only — Vector never mutates
+// its ids in place) and only the weights are materialized, all of them in
+// one arena. One []Vector holds the vectors, so a result set costs three
+// allocations, not two per document. No dictionary, no string, no per-run
+// interning. Global TermIDs are lexicographic like Dict IDs, so dot
+// products and norms accumulate in the identical order.
+func VectorsFromDocs(idx *index.Index, ids []document.DocID) []*Vector {
+	nnz := 0
+	for _, id := range ids {
+		nnz += len(idx.DocTermFreqs(id))
 	}
-	return newVectorSorted(idx.DocTermIDs(id), ws)
+	arena := make([]float64, nnz)
+	vs := make([]Vector, len(ids))
+	out := make([]*Vector, len(ids))
+	for i, id := range ids {
+		freqs := idx.DocTermFreqs(id)
+		ws := arena[:len(freqs):len(freqs)]
+		arena = arena[len(freqs):]
+		for j, f := range freqs {
+			ws[j] = float64(f)
+		}
+		v := &vs[i]
+		v.ids, v.ws = idx.DocTermIDs(id), ws
+		v.norm, v.normOK = v.computeNorm(), true
+		out[i] = v
+	}
+	return out
 }
 
 // Len returns the number of non-zero components.

@@ -173,24 +173,47 @@ func DefaultPoolOptions() PoolOptions {
 	return PoolOptions{TopFraction: 0.20, MinKeywords: 10}
 }
 
+// poolTable is the working memory of a universe's pool scoring and
+// incidence scan: a score and a pool slot per global TermID, both all zero
+// between uses, and the TermIDs touched so far.
+type poolTable struct {
+	scores  []float64
+	slots   []int32
+	touched []termdict.TermID
+}
+
+// poolTables recycles the tables, so a request costs no vocabulary-sized
+// allocation.
+var poolTables = sync.Pool{New: func() any { return new(poolTable) }}
+
+// getPoolTable takes a table sized for a vocab-term index from poolTables.
+func getPoolTable(vocab int) *poolTable {
+	t := poolTables.Get().(*poolTable)
+	if cap(t.scores) < vocab {
+		t.scores, t.slots = make([]float64, vocab), make([]int32, vocab)
+	}
+	t.scores, t.slots = t.scores[:vocab], t.slots[:vocab]
+	return t
+}
+
 // scorePool ranks the distinct terms of the universe by summed TF-IDF in a
 // flat []float64 indexed by global TermID — no string map anywhere — and
 // returns the cut pool as parallel term/TermID slices, both in ascending
-// TermID (= lexicographic) order.
+// TermID (= lexicographic) order. It scores in tab, which it leaves all
+// zero again by re-zeroing only the touched cells.
 //
 // Accumulation order is the historical one: documents ascending by DocID,
 // terms ascending within each document (TermID order is lexicographic, the
 // order the sorted DocTerms strings were walked in), so the sums — and hence
 // the pool cut — are bit-identical to the map-backed implementation.
-func scorePool(idx *index.Index, userQuery search.Query, universeIDs []document.DocID,
+func scorePool(tab *poolTable, idx *index.Index, userQuery search.Query, universeIDs []document.DocID,
 	opts PoolOptions) ([]string, []termdict.TermID) {
 
 	// The user query's own terms are excluded from the pool; resolve them to
 	// sorted TermIDs once so the per-occurrence skip is a merge, not a map.
 	skip := termdict.SkipList{IDs: termdict.ResolveSorted(idx.Dict(), userQuery.Terms)}
 
-	scores := make([]float64, idx.NumTerms())
-	var touched []termdict.TermID
+	scores, touched := tab.scores, tab.touched[:0]
 	for _, id := range universeIDs {
 		tids := idx.DocTermIDs(id)
 		freqs := idx.DocTermFreqs(id)
@@ -239,6 +262,10 @@ func scorePool(idx *index.Index, userQuery search.Query, universeIDs []document.
 	for i, tid := range poolTids {
 		pool[i] = idx.TermByID(tid)
 	}
+	for _, tid := range touched {
+		scores[tid] = 0
+	}
+	tab.touched = touched
 	return pool, poolTids
 }
 
@@ -249,7 +276,9 @@ func scorePool(idx *index.Index, userQuery search.Query, universeIDs []document.
 // allocations.
 func ScorePool(idx *index.Index, userQuery search.Query, universeIDs []document.DocID,
 	opts PoolOptions) []string {
-	pool, _ := scorePool(idx, userQuery, universeIDs, opts)
+	tab := getPoolTable(idx.NumTerms())
+	pool, _ := scorePool(tab, idx, userQuery, universeIDs, opts)
+	poolTables.Put(tab)
 	return pool
 }
 

@@ -52,29 +52,27 @@ func NewUniverse(idx *index.Index, userQuery search.Query, ids []document.DocID,
 	u := &Universe{Query: userQuery, idx: idx, docs: ids, w: weights.Dense(ids)}
 	n := len(ids)
 	u.allB = document.FullBitSet(n)
-	u.pool, u.poolTids = scorePool(idx, userQuery, ids, opts)
-	// Keyword→document incidence by merge-join: pool TermIDs and each
-	// document's TermIDs are both ascending, and pool position = keyword ID
-	// (both orders are lexicographic).
+	tab := getPoolTable(idx.NumTerms())
+	u.pool, u.poolTids = scorePool(tab, idx, userQuery, ids, opts)
+	// Keyword→document incidence: slots maps each pool TermID to its
+	// keyword ID + 1 (pool position = keyword ID, both orders are
+	// lexicographic), and is all zero again before the table goes back.
 	u.containB = make([]document.BitSet, len(u.pool))
-	for ki := range u.pool {
+	for ki, tid := range u.poolTids {
 		u.containB[ki] = document.NewBitSet(n)
+		tab.slots[tid] = int32(ki) + 1
 	}
 	for di, id := range ids {
-		pi := 0
 		for _, tid := range idx.DocTermIDs(id) {
-			for pi < len(u.poolTids) && u.poolTids[pi] < tid {
-				pi++
-			}
-			if pi == len(u.poolTids) {
-				break
-			}
-			if u.poolTids[pi] == tid {
-				u.containB[pi].Add(di)
-				pi++
+			if s := tab.slots[tid]; s != 0 {
+				u.containB[s-1].Add(di)
 			}
 		}
 	}
+	for _, tid := range u.poolTids {
+		tab.slots[tid] = 0
+	}
+	poolTables.Put(tab)
 	return u
 }
 
@@ -104,10 +102,7 @@ func (u *Universe) Pool() []string { return u.pool }
 // Read-only.
 func (u *Universe) Vectors() []*cluster.Vector {
 	if u.vecs == nil && len(u.docs) > 0 {
-		u.vecs = make([]*cluster.Vector, len(u.docs))
-		for i, id := range u.docs {
-			u.vecs[i] = cluster.VectorFromDocGlobal(u.idx, id)
-		}
+		u.vecs = cluster.VectorsFromDocs(u.idx, u.docs)
 	}
 	return u.vecs
 }

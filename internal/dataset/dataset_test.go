@@ -226,11 +226,7 @@ func TestLabelsCoverEveryDoc(t *testing.T) {
 // kmeans clusters documents of idx through cluster.KMeansVecs over their
 // corpus-global TF vectors.
 func kmeans(idx *index.Index, docs []document.DocID, opts cluster.Options) *cluster.Clustering {
-	vecs := make([]*cluster.Vector, len(docs))
-	for i, id := range docs {
-		vecs[i] = cluster.VectorFromDocGlobal(idx, id)
-	}
-	return cluster.KMeansVecs(idx.NumTerms(), vecs, docs, opts)
+	return cluster.KMeansVecs(idx.NumTerms(), cluster.VectorsFromDocs(idx, docs), docs, opts)
 }
 
 // corpusTextHash is an FNV-64a over every document's FullText in ID order,

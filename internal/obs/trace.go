@@ -92,7 +92,7 @@ type Trace struct {
 	// Cache is how the request was satisfied.
 	Cache CacheState
 	// KMeansRestarts, KMeansIterations and KMeansAbandoned mirror the
-	// lockstep driver's per-run bookkeeping: restarts launched, total
+	// k-means driver's per-run bookkeeping: restarts launched, total
 	// iterations across all restarts, and restarts abandoned early
 	// (serving mode only).
 	KMeansRestarts, KMeansIterations, KMeansAbandoned int

@@ -205,7 +205,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	for si := range m.PerStage {
 		dst = obs.AppendPromHistogram(dst, "qec_stage_duration_seconds", stageLabels[si], m.PerStage[si].Snapshot())
 	}
-	dst = obs.AppendPromHeader(dst, "qec_kmeans_restarts_total", "K-means restarts launched by the lockstep driver.", "counter")
+	dst = obs.AppendPromHeader(dst, "qec_kmeans_restarts_total", "K-means restarts launched by the clustering driver.", "counter")
 	dst = obs.AppendPromUint(dst, "qec_kmeans_restarts_total", "", m.KMeansRestarts.Load())
 	dst = obs.AppendPromHeader(dst, "qec_kmeans_iterations_total", "K-means iterations summed across restarts.", "counter")
 	dst = obs.AppendPromUint(dst, "qec_kmeans_iterations_total", "", m.KMeansIterations.Load())

@@ -54,7 +54,7 @@ type ExpansionMetrics struct {
 	// PerStage holds one latency histogram per pipeline stage.
 	PerStage [obs.NumStages]obs.Histogram
 	// KMeansRestarts, KMeansIterations and AbandonedRestarts total the
-	// lockstep clustering driver's bookkeeping across all runs.
+	// k-means driver's bookkeeping across all runs.
 	KMeansRestarts    obs.Counter
 	KMeansIterations  obs.Counter
 	AbandonedRestarts obs.Counter
@@ -91,8 +91,9 @@ func (e *Engine) Metrics() *ExpansionMetrics { return &e.metrics }
 // the trace carries the cache state and no stage spans — the pipeline did
 // not run for this caller.
 //
-// Cancellation: ctx is polled at pipeline round boundaries (k-means rounds,
-// per-cluster solves); a cancelled run returns ctx.Err() and caches nothing.
+// Cancellation: ctx is polled at pipeline round boundaries (before each
+// k-means iteration, per-cluster solves); a cancelled run returns ctx.Err()
+// and caches nothing.
 // Coalesced callers share the computing leader's fate — if the leader's ctx
 // is cancelled, followers get its error too (they are free to retry).
 func (e *Engine) ExpandTraced(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace) (*Expansion, error) {
