@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // runeReferenceTokenize is the tokenizer as first written: the text is
 // converted to runes and every term is re-encoded from its rune range. It is
@@ -66,6 +69,46 @@ func FuzzTokenizeMatchesRuneReference(f *testing.F) {
 				if got[i] != want[i] {
 					t.Fatalf("keep=%t Tokenize(%q) token %d = %+v, reference %+v", keep, text, i, got[i], want[i])
 				}
+			}
+		}
+	})
+}
+
+// mapUniqueTerms is UniqueTerms as first written, de-duplicating through a
+// map: the reference the TermSet version must match.
+func mapUniqueTerms(a *Analyzer, text string) []string {
+	toks := a.Analyze(text)
+	seen := make(map[string]struct{}, len(toks))
+	var terms []string
+	for _, t := range toks {
+		if _, ok := seen[t.Term]; ok {
+			continue
+		}
+		seen[t.Term] = struct{}{}
+		terms = append(terms, t.Term)
+	}
+	return terms
+}
+
+// FuzzUniqueTermsMatchesMapReference checks that UniqueTerms yields the map
+// reference's terms in the same order, on texts with fewer and more distinct
+// terms than the linear scan holds.
+func FuzzUniqueTermsMatchesMapReference(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"camera camera lens camera lens body",
+		"a b c d e f g h a b c d e f g h",
+		"one two three four five six seven eight nine one nine ten two",
+		"Brand:Canon brand:canon model:6000 brand:Canon",
+		"running runs ran runner running Runs",
+	} {
+		f.Add(seed)
+	}
+	analyzers := []*Analyzer{Standard(), Simple()}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, a := range analyzers {
+			if got, want := a.UniqueTerms(text), mapUniqueTerms(a, text); !slices.Equal(got, want) {
+				t.Fatalf("UniqueTerms(%q) = %q, want %q", text, got, want)
 			}
 		}
 	})

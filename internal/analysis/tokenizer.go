@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -178,15 +179,48 @@ func (a *Analyzer) Terms(text string) []string {
 // order. The paper models a document as a *set* of words; this is the
 // set-construction step.
 func (a *Analyzer) UniqueTerms(text string) []string {
-	toks := a.Analyze(text)
-	seen := make(map[string]struct{}, len(toks))
+	var seen TermSet
 	var terms []string
-	for _, t := range toks {
-		if _, ok := seen[t.Term]; ok {
-			continue
+	for _, t := range a.Analyze(text) {
+		if seen.Add(t.Term) {
+			terms = append(terms, t.Term)
 		}
-		seen[t.Term] = struct{}{}
-		terms = append(terms, t.Term)
 	}
 	return terms
+}
+
+// linearSetMax is the most keys a TermSet checks by linear scan. A query
+// rarely has more terms, so de-duplicating one builds no map; a longer text
+// moves its keys into a map, so its cost stays linear, not quadratic.
+const linearSetMax = 8
+
+// TermSet is the set that de-duplicates terms in first-seen order. The zero
+// value is an empty set.
+type TermSet struct {
+	n    int
+	list [linearSetMax]string
+	m    map[string]struct{}
+}
+
+// Add inserts t and reports whether it was absent.
+func (s *TermSet) Add(t string) bool {
+	if s.m == nil {
+		if slices.Contains(s.list[:s.n], t) {
+			return false
+		}
+		if s.n < linearSetMax {
+			s.list[s.n] = t
+			s.n++
+			return true
+		}
+		s.m = make(map[string]struct{}, 2*linearSetMax)
+		for _, k := range s.list {
+			s.m[k] = struct{}{}
+		}
+	}
+	if _, ok := s.m[t]; ok {
+		return false
+	}
+	s.m[t] = struct{}{}
+	return true
 }

@@ -25,6 +25,10 @@ var hashSeed = maphash.MakeSeed()
 // StringHash is the default hash for string-keyed caches.
 func StringHash(s string) uint64 { return maphash.String(hashSeed, s) }
 
+// PointerHash is the hash for caches keyed by pointer identity: it hashes
+// the address, not what it points to.
+func PointerHash[T any](p *T) uint64 { return maphash.Comparable(hashSeed, p) }
+
 // DefaultShards is the shard count used by New. Sixteen mutex stripes keep
 // contention negligible for typical server core counts without fragmenting
 // small capacities too much.

@@ -179,7 +179,7 @@ func TestExample42FixedOrderCannotHitSeven(t *testing.T) {
 	// 7 is unreachable. Our fixed-order run targeting 70% must therefore
 	// miss the target (landing on 5 or 10).
 	a := &PEBC{Strategy: SelectFixedOrder}
-	q := a.eliminateFixedOrder(p, 70)
+	q := a.partialElimination(newElimState(p), 70, nil)
 	elimCount := 10 - p.retrieveBits(q).AndLen(p.uB)
 	if elimCount == 7 {
 		t.Errorf("fixed-order eliminated exactly 7 — contradicts Example 4.2")
@@ -197,9 +197,7 @@ func TestExample44SingleResultCanHitSeven(t *testing.T) {
 	hit := false
 	for seed := int64(0); seed < 40 && !hit; seed++ {
 		a := &PEBC{Strategy: SelectSingleResult, Seed: seed}
-		st := newElimState(p, 70)
-		_ = st
-		q := a.eliminateSingleResult(p, 70, newRand(seed))
+		q := a.partialElimination(newElimState(p), 70, newRand(seed))
 		if 10-p.retrieveBits(q).AndLen(p.uB) == 7 {
 			hit = true
 		}

@@ -95,8 +95,13 @@ func (a *PEBC) Expand(p *Problem) Expanded {
 	}
 
 	evals := 0
+	st := p.elim.Swap(nil)
+	if st == nil {
+		st = newElimState(p)
+	}
+	defer p.elim.Store(st)
 	gen := func(x float64) sample {
-		q := a.partialElimination(p, x, rng)
+		q := a.partialElimination(st, x, rng)
 		evals++
 		s := sample{x: x, q: q, f: p.FMeasure(q)}
 		if p.Trail != nil {
@@ -154,15 +159,16 @@ func (a *PEBC) Expand(p *Problem) Expanded {
 
 // partialElimination generates a query eliminating approximately x% of the
 // total ranking score of U, maximizing retained results in C, using the
-// configured strategy.
-func (a *PEBC) partialElimination(p *Problem, x float64, rng *rand.Rand) search.Query {
+// configured strategy. It resets st to x first.
+func (a *PEBC) partialElimination(st *elimState, x float64, rng *rand.Rand) search.Query {
+	st.reset(x)
 	switch a.Strategy {
 	case SelectFixedOrder:
-		return a.eliminateFixedOrder(p, x)
+		return a.eliminateFixedOrder(st)
 	case SelectSubset:
-		return a.eliminateSubset(p, x, rng)
+		return a.eliminateSubset(st, rng)
 	default:
-		return a.eliminateSingleResult(p, x, rng)
+		return a.eliminateSingleResult(st, rng)
 	}
 }
 
@@ -172,10 +178,10 @@ func (a *PEBC) partialElimination(p *Problem, x float64, rng *rand.Rand) search.
 // each add), which is what keeps PEBC's per-sample cost low — the efficiency
 // property Figure 6 turns on.
 //
-// States are recycled through the owning Problem's elimPool: one Expand
-// generates (nseg+1)·nit sample queries, and without pooling each paid for
-// two universe-sized bitsets, three keyword tables and the remaining-U list.
-// newElimState fully overwrites every field, so a recycled state is
+// One Expand owns one state (the Problem's elim, or a new one) and resets it
+// for each of its (nseg+1)·nit sample queries, which would otherwise each pay
+// for three universe-sized bitsets, three keyword tables and the remaining-U
+// list. reset overwrites every field a run reads, so a reused state is
 // indistinguishable from a fresh one and results stay bit-identical.
 type elimState struct {
 	p          *Problem
@@ -197,20 +203,24 @@ type elimState struct {
 	cand  []int32
 }
 
-func newElimState(p *Problem, x float64) *elimState {
-	st, _ := p.elimPool.Get().(*elimState)
-	if st == nil {
-		n := p.nDocs()
-		st = &elimState{
-			r:       document.NewBitSet(n),
-			delta:   document.NewBitSet(n),
-			aux:     document.NewBitSet(n),
-			benefit: make([]float64, len(p.Pool)),
-			cost:    make([]float64, len(p.Pool)),
-			count:   make([]int, len(p.Pool)),
-		}
+// newElimState allocates the partial-elimination state of p; reset readies
+// it for a run.
+func newElimState(p *Problem) *elimState {
+	n := p.nDocs()
+	return &elimState{
+		p:       p,
+		r:       document.NewBitSet(n),
+		delta:   document.NewBitSet(n),
+		aux:     document.NewBitSet(n),
+		benefit: make([]float64, len(p.Pool)),
+		cost:    make([]float64, len(p.Pool)),
+		count:   make([]int, len(p.Pool)),
 	}
-	st.p = p
+}
+
+// reset starts a run that eliminates x% of U's score from the user query.
+func (st *elimState) reset(x float64) {
+	p := st.p
 	st.q = p.UserQuery
 	st.r.CopyFrom(p.allB)
 	st.aux.Clear()
@@ -223,15 +233,6 @@ func newElimState(p *Problem, x float64) *elimState {
 	st.totalU = p.sU
 	st.eliminated = 0
 	st.target = x / 100 * st.totalU
-	return st
-}
-
-// release returns the state to its problem's pool, dropping references that
-// would pin caller data.
-func (st *elimState) release() {
-	p := st.p
-	st.p, st.q = nil, search.Query{}
-	p.elimPool.Put(st)
 }
 
 // uRemaining returns the not-yet-eliminated results of U in a stable order
@@ -302,10 +303,9 @@ func closerWithout(before, after, target float64) bool {
 	return math.Abs(before-target) <= math.Abs(after-target)
 }
 
-// eliminateSingleResult is the published §4.3 procedure.
-func (a *PEBC) eliminateSingleResult(p *Problem, x float64, rng *rand.Rand) search.Query {
-	st := newElimState(p, x)
-	defer st.release()
+// eliminateSingleResult is the published §4.3 procedure, run on a reset st.
+func (a *PEBC) eliminateSingleResult(st *elimState, rng *rand.Rand) search.Query {
+	p := st.p
 	if st.target <= 0 || st.totalU == 0 {
 		return st.q
 	}
@@ -362,9 +362,8 @@ func (a *PEBC) eliminateSingleResult(p *Problem, x float64, rng *rand.Rand) sear
 
 // eliminateFixedOrder is the rejected §4.1 greedy: always the globally best
 // benefit/cost keyword.
-func (a *PEBC) eliminateFixedOrder(p *Problem, x float64) search.Query {
-	st := newElimState(p, x)
-	defer st.release()
+func (a *PEBC) eliminateFixedOrder(st *elimState) search.Query {
+	p := st.p
 	if st.target <= 0 || st.totalU == 0 {
 		return st.q
 	}
@@ -401,9 +400,8 @@ func (a *PEBC) eliminateFixedOrder(p *Problem, x float64) search.Query {
 // eliminateSubset is the rejected §4.2 procedure: choose a random subset S
 // of U whose score is ≈x% of U's, then greedily pick keywords covering S,
 // counting eliminations outside S as extra cost (Example 4.3).
-func (a *PEBC) eliminateSubset(p *Problem, x float64, rng *rand.Rand) search.Query {
-	st := newElimState(p, x)
-	defer st.release()
+func (a *PEBC) eliminateSubset(st *elimState, rng *rand.Rand) search.Query {
+	p := st.p
 	if st.target <= 0 || st.totalU == 0 {
 		return st.q
 	}

@@ -19,7 +19,7 @@ func eliminationError(t *testing.T, p *Problem, strategy SelectionStrategy, x fl
 	t.Helper()
 	a := &PEBC{Strategy: strategy, Seed: seed}
 	rng := rand.New(rand.NewSource(seed))
-	q := a.partialElimination(p, x, rng)
+	q := a.partialElimination(newElimState(p), x, rng)
 	remaining := p.retrieveBits(q)
 	remaining.And(p.uB)
 	eliminated := p.sU - p.sumBits(remaining)
@@ -129,7 +129,7 @@ func TestPartialEliminationZeroTargetIsSeedQuery(t *testing.T) {
 	p := randomProblem(5, 10, 14, 10, false)
 	for _, strategy := range []SelectionStrategy{SelectSingleResult, SelectFixedOrder, SelectSubset} {
 		a := &PEBC{Strategy: strategy, Seed: 3}
-		q := a.partialElimination(p, 0, rand.New(rand.NewSource(3)))
+		q := a.partialElimination(newElimState(p), 0, rand.New(rand.NewSource(3)))
 		if q.String() != p.UserQuery.String() {
 			t.Errorf("%v: x=0 produced %v, want the unmodified user query",
 				strategy, q.Terms)
@@ -140,7 +140,7 @@ func TestPartialEliminationZeroTargetIsSeedQuery(t *testing.T) {
 func TestPartialEliminationFullTargetEliminatesMost(t *testing.T) {
 	p := randomProblem(6, 10, 16, 12, false)
 	a := &PEBC{Seed: 1}
-	q := a.eliminateSingleResult(p, 100, rand.New(rand.NewSource(1)))
+	q := a.partialElimination(newElimState(p), 100, rand.New(rand.NewSource(1)))
 	remaining := p.retrieveBits(q).AndLen(p.uB)
 	// x=100 should eliminate (nearly) everything that the keyword pool can
 	// eliminate.
@@ -153,7 +153,7 @@ func TestPartialEliminationNeverDropsUserQueryTerms(t *testing.T) {
 	p := randomProblem(8, 10, 14, 12, false)
 	for _, strategy := range []SelectionStrategy{SelectSingleResult, SelectFixedOrder, SelectSubset} {
 		a := &PEBC{Strategy: strategy, Seed: 2}
-		q := a.partialElimination(p, 60, rand.New(rand.NewSource(2)))
+		q := a.partialElimination(newElimState(p), 60, rand.New(rand.NewSource(2)))
 		if !q.Contains("seed") {
 			t.Errorf("%v: user query term dropped: %v", strategy, q.Terms)
 		}
@@ -173,7 +173,7 @@ func TestPEBCSubsetStrategyCoversSelectedResults(t *testing.T) {
 	// a nonzero fraction when asked for 50%.
 	p := randomProblem(9, 10, 16, 12, false)
 	a := &PEBC{Strategy: SelectSubset, Seed: 4}
-	q := a.eliminateSubset(p, 50, rand.New(rand.NewSource(4)))
+	q := a.partialElimination(newElimState(p), 50, rand.New(rand.NewSource(4)))
 	if p.retrieveBits(q).AndLen(p.uB) == p.uB.Len() {
 		t.Error("subset strategy eliminated nothing at x=50")
 	}

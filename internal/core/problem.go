@@ -67,15 +67,18 @@ type Problem struct {
 	// complement.
 	containB []document.BitSet
 
-	// elimPool recycles PEBC partial-elimination scratch state (bitsets +
-	// flat tables) across the many sample queries of one Expand.
-	elimPool sync.Pool
-
 	// resolver holds the per-candidate-query resolution cache (see
 	// queryResolver) between F-measure evaluations. An atomic swap-out /
 	// store-back rather than a plain field so concurrent evaluations on the
 	// same Problem each see a private cache (a loser simply starts cold).
 	resolver atomic.Pointer[queryResolver]
+
+	// elim holds PEBC's partial-elimination state between Expands, swapped
+	// out for the duration of one like resolver: PEBC.Expand resets one
+	// state for each of its sample queries, and a Problem expanded again
+	// (the experiment runner and the figure benchmarks re-solve prepared
+	// problems) reuses it.
+	elim atomic.Pointer[elimState]
 
 	// cB/uB/allB are C, U and the universe C ∪ U; sC and sU cache S(C) and
 	// S(U), constant per problem.

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/document"
 	"repro/internal/index"
 	"repro/internal/termdict"
@@ -34,19 +35,18 @@ type Query struct {
 // Composite terms (containing ':') are kept verbatim.
 func ParseQuery(idx *index.Index, raw string) Query {
 	var terms []string
-	seen := make(map[string]struct{})
-	for _, field := range strings.Fields(raw) {
+	var seen analysis.TermSet
+	for field := range strings.FieldsSeq(raw) {
 		if strings.Contains(field, ":") {
-			if _, ok := seen[field]; !ok {
-				seen[field] = struct{}{}
+			if seen.Add(field) {
 				terms = append(terms, strings.ToLower(field))
 			}
 			continue
 		}
-		for _, term := range idx.Analyzer().UniqueTerms(field) {
-			if _, ok := seen[term]; !ok {
-				seen[term] = struct{}{}
-				terms = append(terms, term)
+		// The one set de-duplicates within a field as UniqueTerms would.
+		for _, tok := range idx.Analyzer().Analyze(field) {
+			if seen.Add(tok.Term) {
+				terms = append(terms, tok.Term)
 			}
 		}
 	}

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	qec "repro"
+	"repro/internal/cache"
 	"repro/internal/degrade"
 	"repro/internal/obs"
 )
@@ -177,6 +178,14 @@ type Server struct {
 
 	accessLog *jsonLogger
 	slowLog   *jsonLogger
+
+	// wireMemo holds the encoded ExpansionWire fields of recently written
+	// expansions, keyed by pointer identity: the engine's cache hands every
+	// hit the same immutable *qec.Expansion, so a hit writes stored bytes
+	// instead of encoding again. The key pins its expansion, so an address
+	// cannot be reused while its entry lives. It is sized like the engine's
+	// cache and nil when the engine has none, where no pointer recurs.
+	wireMemo *cache.Cache[*qec.Expansion, []byte]
 }
 
 // statusClientClosedRequest is nginx's non-standard 499, the conventional
@@ -203,6 +212,9 @@ func New(eng Engine, opts Options) *Server {
 	s.active = obs.NewActiveSet(2 * s.opts.MaxConcurrent)
 	s.rates = obs.NewRateWindow(rateWindowSamples, numRateCounters)
 	s.lastRateTick.Store(time.Now().UnixNano())
+	if n := eng.CacheStats().Capacity; n > 0 {
+		s.wireMemo = cache.New[*qec.Expansion, []byte](n, cache.PointerHash[qec.Expansion])
+	}
 	if s.opts.Degrade {
 		s.ctrl = degrade.New(degrade.Config{
 			MaxTier: degrade.Tier(s.opts.DegradeMaxTier),
@@ -517,9 +529,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 			took := time.Since(start)
 			s.expandHist[opts.Quality].Observe(took)
 			s.tierHist[dec.Tier].Observe(took)
-			resp := newExpandResponse(exp, float64(took.Microseconds())/1000)
-			resp.Degraded = int(dec.Tier)
-			s.writeJSON(w, http.StatusOK, resp)
+			s.writeExpand(w, exp, float64(took.Microseconds())/1000, int(dec.Tier), nil, nil)
 			entry.status = http.StatusOK
 			entry.took = took
 			entry.cache = obs.CacheHit
@@ -629,14 +639,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, status, out.err.Error())
 			entry.status = status
 		default:
-			tookMS := float64(took.Microseconds()) / 1000
-			resp := newExpandResponse(out.exp, tookMS)
-			resp.Degraded = int(dec.Tier)
+			var debug *ExpandDebug
 			if req.Debug {
-				resp.Debug = newExpandDebug(tr)
+				debug = newExpandDebug(tr)
 			}
-			resp.Explain = out.ex
-			s.writeJSON(w, http.StatusOK, resp)
+			s.writeExpand(w, out.exp, float64(took.Microseconds())/1000, int(dec.Tier), debug, out.ex)
 			entry.status = http.StatusOK
 		}
 		s.logRequest(&entry)
@@ -978,14 +985,93 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	wb := bufPool.Get().(*wireBuf)
 	defer bufPool.Put(wb)
 	wb.out.Reset()
-	if err := json.NewEncoder(&wb.out).Encode(v); err != nil {
+	writeBody(w, status, &wb.out, json.NewEncoder(&wb.out).Encode(v))
+}
+
+// writeExpand writes the body of every 200 /expand, byte-identical to
+// writeJSON of the ExpandResponse it stands for (pinned by TestExpandWire).
+func (s *Server) writeExpand(w http.ResponseWriter, exp *qec.Expansion, tookMS float64, degraded int, debug *ExpandDebug, explain *qec.Explain) {
+	wb := bufPool.Get().(*wireBuf)
+	defer bufPool.Put(wb)
+	wb.out.Reset()
+	writeBody(w, http.StatusOK, &wb.out, s.encodeExpand(&wb.out, exp, tookMS, degraded, debug, explain))
+}
+
+// encodeExpand appends an ExpandResponse body to out: "{", the ExpansionWire
+// fields of exp, then took_ms, degraded, debug and explain in the response's
+// field order. encoding/json encodes the expansion fields once per
+// expansion: the memo's bytes serve every later write of the same pointer.
+// An explained expansion bypassed the engine cache, so its pointer never
+// recurs and it is not memoized.
+func (s *Server) encodeExpand(out *bytes.Buffer, exp *qec.Expansion, tookMS float64, degraded int, debug *ExpandDebug, explain *qec.Explain) error {
+	memo := s.wireMemo
+	if explain != nil {
+		memo = nil
+	}
+	enc := json.NewEncoder(out)
+	if fields, ok := memoGet(memo, exp); ok {
+		out.WriteByte('{')
+		out.Write(fields)
+	} else {
+		if err := enc.Encode(newExpansionWire(exp)); err != nil {
+			return err
+		}
+		out.Truncate(out.Len() - len("}\n"))
+		if memo != nil {
+			memo.Add(exp, bytes.Clone(out.Bytes()[1:]))
+		}
+	}
+	b := append(out.AvailableBuffer(), `,"took_ms":`...)
+	b = appendJSONFloat(b, tookMS)
+	if degraded != 0 {
+		b = append(b, `,"degraded":`...)
+		b = strconv.AppendInt(b, int64(degraded), 10)
+	}
+	out.Write(b)
+	if debug != nil {
+		if err := encodeMember(out, enc, `,"debug":`, debug); err != nil {
+			return err
+		}
+	}
+	if explain != nil {
+		if err := encodeMember(out, enc, `,"explain":`, explain); err != nil {
+			return err
+		}
+	}
+	out.WriteString("}\n")
+	return nil
+}
+
+// memoGet returns the ExpansionWire fields of exp memoized in memo, if any.
+func memoGet(memo *cache.Cache[*qec.Expansion, []byte], exp *qec.Expansion) ([]byte, bool) {
+	if memo == nil {
+		return nil, false
+	}
+	return memo.Get(exp)
+}
+
+// encodeMember appends one object member, key then the encoding of v, to out
+// through enc (whose trailing newline it drops).
+func encodeMember(out *bytes.Buffer, enc *json.Encoder, key string, v any) error {
+	out.WriteString(key)
+	if err := enc.Encode(v); err != nil {
+		return err
+	}
+	out.Truncate(out.Len() - 1)
+	return nil
+}
+
+// writeBody writes the encoded body in out with an explicit Content-Length,
+// or a 500 when encoding it failed.
+func writeBody(w http.ResponseWriter, status int, out *bytes.Buffer, err error) {
+	if err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(wb.out.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
 	w.WriteHeader(status)
-	_, _ = w.Write(wb.out.Bytes())
+	_, _ = w.Write(out.Bytes())
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {

@@ -102,14 +102,22 @@ type ExpandedQuery struct {
 	F         float64  `json:"f"`
 }
 
-// ExpandResponse is the body of a successful POST /expand.
-type ExpandResponse struct {
+// ExpansionWire is the part of an ExpandResponse that is a function of the
+// *qec.Expansion alone. The server encodes it once per expansion and, for
+// expansions the engine caches, reuses those bytes on every later hit.
+type ExpansionWire struct {
 	Original []string        `json:"original"`
 	Queries  []ExpandedQuery `json:"queries"`
 	// Clusters holds the document IDs of each cluster, aligned with Queries.
 	Clusters [][]int `json:"clusters"`
 	// Score is the harmonic mean of the queries' F-measures (Eq. 1).
-	Score  float64 `json:"score"`
+	Score float64 `json:"score"`
+}
+
+// ExpandResponse is the body of a successful POST /expand. The embedded
+// ExpansionWire's fields come first on the wire, in its field order.
+type ExpandResponse struct {
+	ExpansionWire
 	TookMS float64 `json:"took_ms"`
 	// Degraded is the degradation-ladder tier the request was served at
 	// (1 = serving quality, 2 = one bound-pruned restart, 3 = cache only);
@@ -171,17 +179,16 @@ func newExpandDebug(tr *obs.Trace) *ExpandDebug {
 	return d
 }
 
-// newExpandResponse converts a qec.Expansion to its wire form.
-func newExpandResponse(exp *qec.Expansion, tookMS float64) *ExpandResponse {
-	resp := &ExpandResponse{
+// newExpansionWire converts a qec.Expansion to its wire form.
+func newExpansionWire(exp *qec.Expansion) ExpansionWire {
+	ew := ExpansionWire{
 		Original: exp.Original,
 		Queries:  make([]ExpandedQuery, 0, len(exp.Queries)),
 		Clusters: make([][]int, 0, len(exp.Clusters)),
 		Score:    exp.Score,
-		TookMS:   tookMS,
 	}
 	for _, q := range exp.Queries {
-		resp.Queries = append(resp.Queries, ExpandedQuery{
+		ew.Queries = append(ew.Queries, ExpandedQuery{
 			Terms:     q.Terms,
 			Cluster:   q.Cluster,
 			Precision: q.Precision,
@@ -194,9 +201,9 @@ func newExpandResponse(exp *qec.Expansion, tookMS float64) *ExpandResponse {
 		for i, id := range cl {
 			ids[i] = int(id)
 		}
-		resp.Clusters = append(resp.Clusters, ids)
+		ew.Clusters = append(ew.Clusters, ids)
 	}
-	return resp
+	return ew
 }
 
 // HealthResponse is the body of GET /healthz.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -436,14 +437,24 @@ func (e *Engine) CacheStats() CacheStats {
 // "x:"-prefixed), so two backends can never share a cached entry.
 func (e *Engine) expandKey(raw string, opts ExpandOptions) string {
 	e.Build()
-	var sb strings.Builder
+	b := make([]byte, 0, 64)
 	for _, term := range search.ParseQuery(e.idx, raw).Terms {
-		sb.WriteString(term)
-		sb.WriteByte(' ')
+		b = append(b, term...)
+		b = append(b, ' ')
 	}
-	fmt.Fprintf(&sb, "|k=%d|top=%d|m=%s|uw=%t|il=%d|q=%d",
-		opts.K, opts.TopK, e.methodLeg(opts), opts.Unweighted, opts.Interleave, opts.Quality)
-	return sb.String()
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(opts.K), 10)
+	b = append(b, "|top="...)
+	b = strconv.AppendInt(b, int64(opts.TopK), 10)
+	b = append(b, "|m="...)
+	b = append(b, e.methodLeg(opts)...)
+	b = append(b, "|uw="...)
+	b = strconv.AppendBool(b, opts.Unweighted)
+	b = append(b, "|il="...)
+	b = strconv.AppendInt(b, int64(opts.Interleave), 10)
+	b = append(b, "|q="...)
+	b = strconv.AppendInt(b, int64(opts.Quality), 10)
+	return string(b)
 }
 
 // Expand runs the full pipeline of the paper on a user query: search,

@@ -7,8 +7,12 @@ package qec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/search"
 )
 
 // ambiguousEngine builds a small corpus where "apple" has two senses, enough
@@ -86,6 +90,31 @@ func TestExpansionCacheHitReturnsSharedResult(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.Computations != 2 {
 		t.Fatalf("computations after option change = %d; want 2", st.Computations)
+	}
+}
+
+// TestExpandKeyMatchesFormat pins the appended cache key to the format it
+// was first written with, so a key never changes with how it is built.
+func TestExpandKeyMatchesFormat(t *testing.T) {
+	e := ambiguousEngine(t)
+	e.Build()
+	for _, raw := range []string{"apple", "  APPLE fruit apple ", "brand:Canon apple", ""} {
+		for _, opts := range []ExpandOptions{
+			{},
+			{K: 4, TopK: 30, Method: PEBC, Unweighted: true, Interleave: 2, Quality: QualityServing},
+			{K: -1, TopK: 1 << 40, Method: VectorNeighborhood, Quality: QualityMinimal},
+		} {
+			var sb strings.Builder
+			for _, term := range search.ParseQuery(e.idx, raw).Terms {
+				sb.WriteString(term)
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "|k=%d|top=%d|m=%s|uw=%t|il=%d|q=%d",
+				opts.K, opts.TopK, e.methodLeg(opts), opts.Unweighted, opts.Interleave, opts.Quality)
+			if got, want := e.expandKey(raw, opts), sb.String(); got != want {
+				t.Errorf("expandKey(%q, %+v) = %q, want %q", raw, opts, got, want)
+			}
+		}
 	}
 }
 
