@@ -21,7 +21,7 @@
 // -quality sets the default clustering quality mode for expand requests that
 // don't pin one ("exact" keeps the bit-identical 5-restart pipeline;
 // "serving" trades a small deterministic accuracy delta for latency —
-// fewer restarts, bound-pruned assignment, early restart abandonment):
+// at most two restarts, early restart abandonment):
 //
 //	qec-serve -dataset wikipedia -quality serving
 //
@@ -58,7 +58,7 @@
 //
 // Under saturation the server degrades quality before availability: an
 // adaptive controller (on by default; -degrade=false disables) walks a
-// five-tier ladder — serving quality, one bound-pruned restart, cache-only,
+// five-tier ladder — serving quality, one k-means restart, cache-only,
 // and only then shedding with 503 + Retry-After. -degrade-max-tier clamps
 // the ladder (3 forbids shedding); SIGUSR2 logs the controller snapshot.
 // See docs/DEGRADATION.md. Building with -tags faultinject adds the

@@ -148,26 +148,27 @@
 // more than the one before it, with a distinct determinism contract per
 // mode:
 //
-//   - QualityExact (default): the full restart budget with every distance
-//     computed. Contract: bit identity — for a fixed seed the clustering
-//     equals the historical implementation's output down to the last float
-//     bit, regardless of worker count (pinned by the kmeans and expansion
-//     golden files). Experiments and golden captures always use this mode.
-//   - QualityServing: at most two restarts; assignment is Hamerly-style
-//     single-bound pruned in chord space (lossless — a property test pins
-//     pruned runs to the unpruned clustering bit for bit); and a restart
-//     whose running distortion already exceeds the best completed restart
-//     is abandoned. Abandonment is the accuracy trade: distortion is not
-//     strictly monotone under the cosine/mean update, so occasionally the
-//     abandoned restart would have won (never yielding a better-than-exact
-//     result — the winner comes from a subset of the identical restarts).
-//     Contract: determinism — a fixed seed yields the identical clustering
-//     on every run and worker count, because its restarts advance in
-//     lockstep rounds and abandonment decisions are a pure function of
-//     iteration counts, never of goroutine timing.
-//   - QualityMinimal: one bound-pruned restart — QualityServing with
-//     Restarts 1, so nothing is abandoned. Contract: determinism, as for
-//     serving. It has no wire name: the degradation ladder applies it.
+//   - QualityExact (default): the full restart budget, every restart run
+//     to convergence. Contract: bit identity — for a fixed seed the
+//     clustering equals the historical implementation's output down to the
+//     last float bit, regardless of worker count (pinned by the kmeans and
+//     expansion golden files). Experiments and golden captures always use
+//     this mode.
+//   - QualityServing: at most two restarts, and a restart whose running
+//     distortion (exact, summed after each assignment pass) already exceeds
+//     the best completed restart's is abandoned. Abandonment is the
+//     accuracy trade: distortion is not strictly monotone under the
+//     cosine/mean update, so occasionally the abandoned restart would have
+//     won (never yielding a better-than-exact result — the winner comes
+//     from a subset of the identical restarts). Contract: determinism — a
+//     fixed seed yields the identical clustering on every run and worker
+//     count, because its restarts advance in lockstep rounds and
+//     abandonment decisions are a pure function of iteration counts, never
+//     of goroutine timing.
+//   - QualityMinimal: one restart, run exactly as QualityExact runs its
+//     first — QualityServing with Restarts 1, so nothing is abandoned.
+//     Contract: determinism, as for serving. It has no wire name: the
+//     degradation ladder applies it.
 //
 // Quality is part of the expansion cache key (see expandKey), so cached
 // engines serve the levels side by side; the server maps the wire field

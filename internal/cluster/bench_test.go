@@ -75,11 +75,11 @@ func BenchmarkVectorFromDoc(b *testing.B) {
 // benchAssignState seeds one k-means run over the bench corpus, in its local
 // term space as KMeansVecs runs it, so the assignment step can be measured
 // in isolation.
-func benchAssignState(b *testing.B, n, k int, pruned bool) *runState {
+func benchAssignState(b *testing.B, n, k int) *runState {
 	b.Helper()
 	idx, ids := benchCorpus(n)
 	st := &new(scratch).prepare(idx.NumTerms(), VectorsFromDocs(idx, ids),
-		Options{K: k, Seed: 1, PlusPlus: true, MaxIter: 50}, 1, pruned)[0]
+		Options{K: k, Seed: 1, PlusPlus: true, MaxIter: 50}, 1)[0]
 	st.seed()
 	return st
 }
@@ -89,10 +89,10 @@ func benchAssignState(b *testing.B, n, k int, pruned bool) *runState {
 // at the Figure 7 sweep scale. Baseline entries predate dense centroids, so
 // the diff against them is the merge-join → gather win.
 func benchKMeansAssign(b *testing.B, n, k int) {
-	st := benchAssignState(b, n, k, false)
+	st := benchAssignState(b, n, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.overRanges(0, (*runState).assignFullRange)
+		st.overRanges(0, (*runState).assignRange)
 	}
 }
 
@@ -104,10 +104,10 @@ func BenchmarkKMeansAssignN500K5(b *testing.B) { benchKMeansAssign(b, 500, 5) }
 // Figure 7 sweep scale — the inner loop the dense-centroid rewrite exists
 // for, gated in qec-benchdiff.
 func BenchmarkKMeansDenseAssign(b *testing.B) {
-	st := benchAssignState(b, 200, 5, false)
+	st := benchAssignState(b, 200, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.overRanges(0, (*runState).assignFullRange)
+		st.overRanges(0, (*runState).assignRange)
 	}
 }
 
@@ -123,8 +123,8 @@ func BenchmarkKMeansFull(b *testing.B) {
 }
 
 // BenchmarkKMeansServingMode is the same serving-shape run under
-// QualityServing (restarts capped, Hamerly bound-pruned assignment) — the
-// latency the serving subsystem buys with the quality knob.
+// QualityServing (restarts capped, early abandonment) — the latency the
+// serving subsystem buys with the quality knob.
 func BenchmarkKMeansServingMode(b *testing.B) {
 	idx, ids := benchCorpus(30)
 	b.ResetTimer()

@@ -112,13 +112,8 @@ func (c *centroid) cosDist(v *Vector) float64 {
 // in that same order. Cells no vector touches stay 0 and add +0 to the
 // norm, so scanning all cells needs no sorted support. acc becomes the
 // centroid's cells; the old cells are returned for the next update to
-// accumulate into.
-//
-// When drift is true setMean also returns the chord-space distance
-// ‖old/‖old‖ − new/‖new‖‖ = √(2·(1−cos(old,new))) between the old and new
-// centroid directions — the bound Hamerly pruning needs. vs must be
-// non-empty.
-func (c *centroid) setMean(vs []*Vector, acc []float64, drift bool) (old []float64, d float64) {
+// accumulate into. vs must be non-empty.
+func (c *centroid) setMean(vs []*Vector, acc []float64) (old []float64) {
 	clear(acc)
 	for _, v := range vs {
 		for i, id := range v.ids {
@@ -132,22 +127,6 @@ func (c *centroid) setMean(vs []*Vector, acc []float64, drift bool) (old []float
 		acc[id] = w
 		norm += w * w
 	}
-	norm = math.Sqrt(norm)
-
-	if drift {
-		dot := 0.0
-		for id, w := range acc {
-			dot += w * c.vals[id]
-		}
-		if c.norm == 0 || norm == 0 {
-			d = 2 // maximal chord distance between unit vectors: sound bound
-		} else {
-			cs := dot / (c.norm * norm)
-			if diff := 2 * (1 - cs); diff > 0 {
-				d = math.Sqrt(diff)
-			}
-		}
-	}
-	old, c.vals, c.norm = c.vals, acc, norm
-	return old, d
+	old, c.vals, c.norm = c.vals, acc, math.Sqrt(norm)
+	return old
 }

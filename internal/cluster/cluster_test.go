@@ -438,37 +438,6 @@ func TestClusteringSets(t *testing.T) {
 	}
 }
 
-func TestAgglomerativeSeparatesTopics(t *testing.T) {
-	idx, ids, labels := twoTopicIndex(t, 10)
-	// Complete linkage is sensitive to outlier pairs on small noisy data;
-	// hold it to a looser bar than average/single.
-	minPurity := map[Linkage]float64{
-		AverageLinkage: 0.9, SingleLinkage: 0.9, CompleteLinkage: 0.7,
-	}
-	for link, min := range minPurity {
-		cl := Agglomerative(idx, ids, 2, link)
-		if cl.K() != 2 {
-			t.Fatalf("linkage %d: K = %d, want 2", link, cl.K())
-		}
-		if p := Purity(cl, labels); p < min {
-			t.Errorf("linkage %d: purity = %v, want >= %v", link, p, min)
-		}
-	}
-}
-
-func TestAgglomerativeEdgeCases(t *testing.T) {
-	idx, ids, _ := twoTopicIndex(t, 2)
-	if cl := Agglomerative(idx, nil, 2, AverageLinkage); cl.K() != 0 {
-		t.Error("empty input should give empty clustering")
-	}
-	if cl := Agglomerative(idx, ids, 0, AverageLinkage); cl.K() != 1 {
-		t.Errorf("k=0 should clamp to 1, got %d", cl.K())
-	}
-	if cl := Agglomerative(idx, ids, 100, AverageLinkage); cl.K() != len(ids) {
-		t.Errorf("k>n should give n singletons, got %d", cl.K())
-	}
-}
-
 func TestPurityPerfectAndWorst(t *testing.T) {
 	cl := &Clustering{
 		Clusters: [][]document.DocID{{0, 1}, {2, 3}},
@@ -497,7 +466,7 @@ func TestSilhouetteSeparatedHigherThanRandom(t *testing.T) {
 		t.Errorf("silhouette of separated clustering = %v, want > 0.1", s)
 	}
 	// Single cluster: silhouette defined as 0.
-	one := Agglomerative(idx, ids, 1, AverageLinkage)
+	one := kmeans(idx, ids, Options{K: 1, Seed: 1})
 	if got := Silhouette(vecs, ids, one); got != 0 {
 		t.Errorf("silhouette with k=1 = %v, want 0", got)
 	}

@@ -14,7 +14,7 @@ import (
 	"repro/internal/seedrand"
 )
 
-// Clustering is the output of a clustering run: an assignment of the input
+// Clustering is the output of a k-means run: an assignment of the input
 // documents into non-empty clusters.
 type Clustering struct {
 	// Clusters holds the document IDs of each cluster, sorted ascending.
@@ -22,16 +22,14 @@ type Clustering struct {
 	// Assign holds the cluster ordinal of each clustered document, by its
 	// position in the docs slice the clustering ran over.
 	Assign []int
-	// Distortion is the final sum of cosine distances to assigned centroids
-	// (k-means only; 0 for other methods).
+	// Distortion is the final sum of cosine distances to assigned centroids.
 	Distortion float64
 	// Iterations is the number of refinement rounds performed.
 	Iterations int
 	// Restarts, TotalIterations and AbandonedRestarts are the k-means
 	// driver's bookkeeping: restarts launched, iterations summed across all
 	// of them, and restarts abandoned early (serving mode only). They feed
-	// the telemetry layer and never influence the clustering itself; zero
-	// for non-k-means methods.
+	// the telemetry layer and never influence the clustering itself.
 	Restarts, TotalIterations, AbandonedRestarts int
 }
 
@@ -57,20 +55,20 @@ type Quality int
 
 const (
 	// QualityExact is the default: every restart requested by Options runs
-	// to convergence with exact (unpruned) assignment arithmetic. Output is
-	// bit-identical to the historical sparse merge-join implementation for a
-	// fixed seed (pinned by the kmeans golden file).
+	// to convergence. Output is bit-identical to the historical sparse
+	// merge-join implementation for a fixed seed (pinned by the kmeans
+	// golden file).
 	QualityExact Quality = iota
 	// QualityServing trades a deterministic accuracy delta for latency: at
-	// most servingRestarts restarts, and assignment uses Hamerly-style
-	// single-bound pruning (points whose bound margin exceeds the centroid
-	// drift skip their distance scans). Deterministic for a fixed seed —
-	// runs always produce the same clustering — but not bit-comparable to
-	// QualityExact, which keeps more restarts.
+	// most servingRestarts restarts, and a restart whose running distortion
+	// already exceeds the best completed restart's is abandoned.
+	// Deterministic for a fixed seed — runs always produce the same
+	// clustering — but not bit-comparable to QualityExact, which keeps more
+	// restarts and abandons none.
 	QualityServing
-	// QualityMinimal runs one bound-pruned restart: QualityServing's
-	// assignment arithmetic with Restarts 1. The degradation ladder's T2 and
-	// T3 tiers apply it; it has no wire name.
+	// QualityMinimal runs one restart, exactly as QualityExact runs its
+	// first. The degradation ladder's T2 and T3 tiers apply it; it has no
+	// wire name.
 	QualityMinimal
 )
 
@@ -111,7 +109,7 @@ type Options struct {
 	// distortion already exceeds the best completed restart's.
 	Restarts int
 	// Quality selects the effort level (default QualityExact); it caps
-	// Restarts and switches on bound-pruned assignment.
+	// Restarts and switches on early abandonment.
 	Quality Quality
 	// Ctx, when non-nil, is checked before each iteration: once it is
 	// cancelled the driver stops stepping and returns immediately, so a
@@ -179,8 +177,8 @@ func (o *Options) defaults() {
 // point·centroid distance is a branch-free gather over the point's IDs. In
 // QualityExact mode the output is bit-identical to the sparse merge-join
 // implementation (pinned by the kmeans golden file); the higher levels trade
-// a deterministic accuracy delta for latency (fewer restarts, bound-pruned
-// assignment).
+// a deterministic accuracy delta for latency (fewer restarts, early
+// abandonment). Every level runs the same per-restart arithmetic.
 func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *Clustering {
 	opts.defaults()
 	n := len(docs)
@@ -194,13 +192,12 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 	case QualityMinimal:
 		restarts = 1
 	}
-	pruned := opts.Quality == QualityServing || opts.Quality == QualityMinimal
-	// Early abandonment is a pruned-mode trade: distortion under the
+	// Early abandonment is a serving trade: distortion under the
 	// mean-update/cosine iteration is not strictly monotone, so a restart
 	// that currently trails the best completed one can still end up winning —
 	// abandoning it is deterministic but (rarely) selects a slightly worse
 	// clustering. Exact mode therefore runs every restart to convergence.
-	return kmeansDrive(dim, vecs, docs, opts, restarts, pruned, pruned && restarts > 1)
+	return kmeansDrive(dim, vecs, docs, opts, restarts, opts.Quality != QualityExact && restarts > 1)
 }
 
 // kmeansDrive runs restarts k-means runs over the shared vectors and returns
@@ -220,11 +217,11 @@ func KMeansVecs(dim int, vecs []*Vector, docs []document.DocID, opts Options) *C
 // distortion strictly exceeds the best completed restart's final distortion.
 // Every restart's own arithmetic is the same in both drives.
 func kmeansDrive(dim int, vecs []*Vector, docs []document.DocID, opts Options,
-	restarts int, pruned, abandon bool) *Clustering {
+	restarts int, abandon bool) *Clustering {
 
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
-	runs := s.prepare(dim, vecs, opts, restarts, pruned)
+	runs := s.prepare(dim, vecs, opts, restarts)
 	if abandon {
 		lockstep(opts.Ctx, runs)
 	} else {
@@ -317,10 +314,10 @@ func lockstep(ctx context.Context, runs []runState) {
 }
 
 // scratch holds every buffer of one drive: the local term space and each
-// run's centroids, assignment, distances, groups and bound arrays, carved
-// from a few slabs. scratchPool hands one to each drive, so a
-// steady stream of requests reuses the same memory instead of allocating it
-// per restart. No returned Clustering aliases it (buildClustering copies).
+// run's centroids, assignment, distances and groups, carved from a few
+// slabs. scratchPool hands one to each drive, so a steady stream of
+// requests reuses the same memory instead of allocating it per restart. No
+// returned Clustering aliases it (buildClustering copies).
 type scratch struct {
 	// Pointer-free slabs: reused as they are.
 	words  []spaceWord
@@ -370,17 +367,12 @@ func take[T any](slab *[]T, n int) []T {
 
 // prepare builds the local term space of vecs and carves restarts unseeded
 // runs from s, run r with the derived seed opts.Seed + r·7919.
-func (s *scratch) prepare(dim int, vecs []*Vector, opts Options, restarts int, pruned bool) []runState {
+func (s *scratch) prepare(dim int, vecs []*Vector, opts Options, restarts int) []runState {
 	sp := s.termSpace(dim, vecs)
 	n, l := len(sp.vecs), sp.size
 	k := min(opts.K, n)
-	// Per run: k centroids' cells plus the spare accumulator, and dists;
-	// pruned runs add ub, lb and drift.
-	perRun := (k+1)*l + n
-	if pruned {
-		perRun += 2*n + k
-	}
-	floats := fit(&s.floats, restarts*perRun)
+	// Per run: k centroids' cells plus the spare accumulator, and dists.
+	floats := fit(&s.floats, restarts*((k+1)*l+n))
 	// Per run: the assignment and the group sizes. A run cancelled before
 	// its first step is still read by the winner scan, so its assignment
 	// must name valid clusters.
@@ -396,7 +388,6 @@ func (s *scratch) prepare(dim int, vecs []*Vector, opts Options, restarts int, p
 			vecs:     sp.vecs,
 			k:        k,
 			maxIter:  opts.MaxIter,
-			pruned:   pruned,
 			plusPlus: opts.PlusPlus,
 			rngSeed:  opts.Seed + int64(r)*7919, // distinct derived seeds
 			cents:    take(&cents, k),
@@ -410,11 +401,6 @@ func (s *scratch) prepare(dim int, vecs []*Vector, opts Options, restarts int, p
 			st.cents[c] = centroid{vals: take(&floats, l)}
 		}
 		st.acc = take(&floats, l)
-		if pruned {
-			st.ub = take(&floats, n)
-			st.lb = take(&floats, n)
-			st.drift = take(&floats, k)
-		}
 	}
 	return runs
 }
@@ -426,7 +412,6 @@ type runState struct {
 	vecs     []*Vector // over the local term space
 	k        int
 	maxIter  int
-	pruned   bool
 	plusPlus bool
 	rngSeed  int64
 
@@ -443,33 +428,10 @@ type runState struct {
 	members []*Vector
 	sizes   []int
 
-	// Hamerly single-bound state (pruned mode), in chord space √(2·cosDist):
-	// ub[i] bounds the distance to the assigned centroid from above, lb[i]
-	// the distance to every other centroid from below; drift holds the
-	// per-centroid movement of the last update.
-	ub, lb, drift []float64
-
 	distortion float64
 	iters      int
 	done       bool
 	abandoned  bool
-}
-
-// boundSlack absorbs the floating-point error of maintaining ub/lb
-// incrementally: a point is only skipped when its margin clears the drift by
-// more than this, so pruning never changes an assignment (distances are O(1),
-// making 1e-9 many orders above the accumulated error).
-const boundSlack = 1e-9
-
-// chordDist converts a cosine distance to the chord distance between the
-// corresponding unit vectors, √(2·d) — a true metric (Euclidean on the unit
-// sphere), which cosine distance itself is not, so triangle-inequality bounds
-// are sound in chord space only.
-func chordDist(d float64) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return math.Sqrt(2 * d)
 }
 
 // overRanges calls body(st, c, lo, hi) on ranges that cover the run's
@@ -570,18 +532,10 @@ func (st *runState) step() {
 	iter := st.iters
 	st.iters++
 
-	var changed bool
-	if st.pruned && iter > 0 {
-		changed = st.overRanges(0, (*runState).assignPrunedRange)
-	} else {
-		changed = st.overRanges(0, (*runState).assignFullRange)
-	}
+	changed := st.overRanges(0, (*runState).assignRange)
 
 	// Serial reduction in index order keeps the distortion bit-identical to
-	// the scalar loop's running sum. In pruned mode skipped points carry the
-	// distance of their last full evaluation, so this is a running estimate
-	// (used only for early abandonment); the exact value is recomputed on
-	// completion.
+	// the scalar loop's running sum.
 	d := 0.0
 	for _, x := range st.dists {
 		d += x
@@ -590,9 +544,6 @@ func (st *runState) step() {
 
 	if (!changed && iter > 0) || st.iters >= st.maxIter {
 		st.done = true
-		if st.pruned {
-			st.exactDistortion()
-		}
 		return
 	}
 
@@ -614,37 +565,25 @@ func (st *runState) step() {
 		if len(st.groups[c]) == 0 {
 			// Empty centroid: keep previous position; the cluster will be
 			// dropped at the end if it stays empty.
-			if st.pruned {
-				st.drift[c] = 0
-			}
 			continue
 		}
-		var mv float64
-		st.acc, mv = st.cents[c].setMean(st.groups[c], st.acc, st.pruned)
-		if st.pruned {
-			st.drift[c] = mv
-		}
+		st.acc = st.cents[c].setMean(st.groups[c], st.acc)
 	}
 }
 
-// assignFullRange reassigns the points of [lo, hi) by scanning all
-// centroids — the exact path, and the bound-initializing first iteration of
-// the pruned path — and reports whether any assignment changed. Ranges are
-// disjoint and only read the shared centroids, so the step is race-free and
-// its output independent of the worker count.
-func (st *runState) assignFullRange(_, lo, hi int) bool {
+// assignRange reassigns the points of [lo, hi) to their nearest centroid
+// and reports whether any assignment changed. Ranges are disjoint and only
+// read the shared centroids, so the step is race-free and its output
+// independent of the worker count.
+func (st *runState) assignRange(_, lo, hi int) bool {
 	vecs, cents := st.vecs, st.cents
 	changed := false
 	for i := lo; i < hi; i++ {
 		v := vecs[i]
 		best, bestD := 0, cents[0].cosDist(v)
-		second := math.Inf(1)
 		for c := 1; c < len(cents); c++ {
 			if d := cents[c].cosDist(v); d < bestD {
-				second = bestD
 				best, bestD = c, d
-			} else if d < second {
-				second = d
 			}
 		}
 		if st.assign[i] != best {
@@ -652,87 +591,8 @@ func (st *runState) assignFullRange(_, lo, hi int) bool {
 			changed = true
 		}
 		st.dists[i] = bestD
-		if st.pruned {
-			st.ub[i] = chordDist(bestD)
-			st.lb[i] = chordDist(second)
-		}
 	}
 	return changed
-}
-
-// assignPrunedRange is the Hamerly-style single-bound assignment over
-// [lo, hi): after the last update moved centroid c by drift[c] (chord
-// space), a point whose upper bound to its assigned centroid stays below its
-// lower bound to all others cannot change assignment and skips every
-// distance computation. Points that fail the cheap test first tighten the
-// upper bound with one exact distance, and only then fall back to the full
-// scan (which restores exact bounds). Pruning is lossless for the
-// assignment: the triangle inequality in chord space plus boundSlack
-// guarantees a skipped point's argmin is unchanged, so the final clustering
-// matches the unpruned run's (pinned by a property test).
-func (st *runState) assignPrunedRange(_, lo, hi int) bool {
-	maxDrift := 0.0
-	for _, d := range st.drift {
-		if d > maxDrift {
-			maxDrift = d
-		}
-	}
-	vecs, cents := st.vecs, st.cents
-	changed := false
-	for i := lo; i < hi; i++ {
-		st.ub[i] += st.drift[st.assign[i]]
-		st.lb[i] -= maxDrift
-		if st.ub[i]+boundSlack < st.lb[i] {
-			continue // cannot have changed assignment; dists[i] is stale
-		}
-		v := vecs[i]
-		dA := cents[st.assign[i]].cosDist(v)
-		st.ub[i] = chordDist(dA)
-		st.dists[i] = dA
-		if st.ub[i]+boundSlack < st.lb[i] {
-			continue
-		}
-		best, bestD := 0, cents[0].cosDist(v)
-		second := math.Inf(1)
-		for c := 1; c < len(cents); c++ {
-			if d := cents[c].cosDist(v); d < bestD {
-				second = bestD
-				best, bestD = c, d
-			} else if d < second {
-				second = d
-			}
-		}
-		if st.assign[i] != best {
-			st.assign[i] = best
-			changed = true
-		}
-		st.dists[i] = bestD
-		st.ub[i] = chordDist(bestD)
-		st.lb[i] = chordDist(second)
-	}
-	return changed
-}
-
-// exactDistortion recomputes every point's distance to its assigned centroid
-// and reduces serially in index order — the same arithmetic the last full
-// assignment pass would have produced, making a pruned run's final distortion
-// bit-identical to the unpruned run it matches.
-func (st *runState) exactDistortion() {
-	st.overRanges(0, (*runState).distRange)
-	d := 0.0
-	for _, x := range st.dists {
-		d += x
-	}
-	st.distortion = d
-}
-
-// distRange sets dists over [lo, hi) to each point's distance to its
-// assigned centroid.
-func (st *runState) distRange(_, lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		st.dists[i] = st.cents[st.assign[i]].cosDist(st.vecs[i])
-	}
-	return false
 }
 
 // buildClustering converts an assignment array into a Clustering, dropping

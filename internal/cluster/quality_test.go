@@ -13,8 +13,8 @@ import (
 )
 
 // randomCorpus builds a seeded multi-topic corpus for the quality property
-// tests — noisier and more varied than twoTopicIndex so the bound-pruning
-// and abandonment paths see realistic cluster geometry.
+// tests — noisier and more varied than twoTopicIndex so the abandonment
+// path sees realistic cluster geometry.
 func randomCorpus(seed int64, n int) (*index.Index, []document.DocID) {
 	rng := rand.New(rand.NewSource(seed))
 	vocab := make([]string, 300)
@@ -35,23 +35,6 @@ func randomCorpus(seed int64, n int) (*index.Index, []document.DocID) {
 	return index.Build(c, analysis.Simple()), ids
 }
 
-// TestPrunedAssignmentMatchesUnpruned is the losslessness property of the
-// Hamerly single-bound skip: on random corpora, a run with bound-pruned
-// assignment produces the identical final clustering — membership,
-// iteration count and bit-exact distortion — as the same run with every
-// distance computed. (Abandonment is off in both arms so only the pruning
-// differs.)
-func TestPrunedAssignmentMatchesUnpruned(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		idx, ids := randomCorpus(seed, 40+int(seed%7)*25)
-		vecs := VectorsFromDocs(idx, ids)
-		opts := Options{K: 2 + int(seed%4), Seed: seed, PlusPlus: seed%2 == 0, MaxIter: 50}
-		pruned := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true, false)
-		full := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, false, false)
-		sameClustering(t, "seed="+strconv.FormatInt(seed, 10), full, pruned)
-	}
-}
-
 // TestEarlyAbandonNeverBeatsFull pins the abandonment contract: the serving
 // driver picks its winner from a subset of the identical restarts, so its
 // distortion is never below the full driver's, and on most corpora (all but
@@ -63,8 +46,8 @@ func TestEarlyAbandonNeverBeatsFull(t *testing.T) {
 		idx, ids := randomCorpus(seed, 60)
 		vecs := VectorsFromDocs(idx, ids)
 		opts := Options{K: 4, Seed: seed, PlusPlus: true, MaxIter: 50}
-		abandoning := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true, true)
-		full := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true, false)
+		abandoning := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, true)
+		full := kmeansDrive(idx.NumTerms(), vecs, ids, opts, 2, false)
 		if abandoning.Distortion < full.Distortion {
 			t.Fatalf("seed %d: abandoning run distortion %v below full %v",
 				seed, abandoning.Distortion, full.Distortion)
@@ -143,7 +126,7 @@ func TestDenseCentroidMatchesSparseMean(t *testing.T) {
 	c.setFromVector(sp.vecs[0])
 	acc := make([]float64, sp.size)
 	for _, group := range [][]*Vector{sp.vecs[:7], sp.vecs} {
-		acc, _ = c.setMean(group, acc, true)
+		acc = c.setMean(group, acc)
 		want := Mean(vecs[:len(group)])
 		var gotIDs []int32
 		for lid, w := range c.vals {

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 	"strconv"
 	"testing"
@@ -187,19 +185,8 @@ func refKMeans(idx *index.Index, docs []document.DocID, opts Options) *Clusterin
 // golden file captured from the original map-backed implementation, so the
 // differential test below compares against a trusted oracle.
 func TestReferenceKMeansMatchesGolden(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
-	}
-	var want []goldenCase
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
 	checked := 0
-	for _, w := range want {
-		if w.Linkage >= 0 {
-			continue
-		}
+	for _, w := range kmeansGolden(t) {
 		idx, ids, _ := twoTopicIndex(t, w.PerTopic)
 		cl := refKMeans(idx, ids, Options{K: w.K, Seed: w.Seed, PlusPlus: w.PlusPlus, Restarts: w.Restarts})
 		if math.Float64bits(cl.Distortion) != w.Distortion || cl.Iterations != w.Iterations ||

@@ -126,7 +126,7 @@ func hasPointers(t reflect.Type) bool {
 func TestScratchReleaseDropsPointers(t *testing.T) {
 	in := reuseInputs()[0]
 	s := new(scratch)
-	runs := s.prepare(in.idx.NumTerms(), in.vecs, Options{K: 3, PlusPlus: true, MaxIter: 50}, 5, true)
+	runs := s.prepare(in.idx.NumTerms(), in.vecs, Options{K: 3, PlusPlus: true, MaxIter: 50}, 5)
 	for r := range runs {
 		runs[r].seed()
 		for !runs[r].done {
@@ -163,13 +163,11 @@ func TestScratchReleaseDropsPointers(t *testing.T) {
 // preallocated buffers with no per-call closure.
 func TestStepAllocatesNothing(t *testing.T) {
 	idx, ids := randomCorpus(5, 150)
-	for _, pruned := range []bool{false, true} {
-		st := &new(scratch).prepare(idx.NumTerms(), VectorsFromDocs(idx, ids),
-			Options{K: 4, Seed: 3, PlusPlus: true, MaxIter: 50}, 1, pruned)[0]
-		st.seed()
-		if a := testing.AllocsPerRun(100, st.step); a != 0 {
-			t.Errorf("pruned=%t: step allocates %v times per call", pruned, a)
-		}
+	st := &new(scratch).prepare(idx.NumTerms(), VectorsFromDocs(idx, ids),
+		Options{K: 4, Seed: 3, PlusPlus: true, MaxIter: 50}, 1)[0]
+	st.seed()
+	if a := testing.AllocsPerRun(100, st.step); a != 0 {
+		t.Errorf("step allocates %v times per call", a)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package cluster implements the result-clustering substrate: sparse
-// term-frequency vectors with cosine similarity, k-means (the paper's
-// clustering method, Appendix C) with k-means++ seeding, and agglomerative
-// clustering (for the paper's future-work ablation on clustering methods).
+// term-frequency vectors with cosine similarity and k-means (the paper's
+// clustering method, Appendix C) with k-means++ seeding. Quality levels
+// trade restarts and early abandonment for latency; every level runs the
+// same per-restart arithmetic.
 //
 // Vectors are interned: a Dict built once per clustering run maps terms to
 // dense int32 IDs in lexicographic order, and a Vector stores parallel

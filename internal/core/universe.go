@@ -5,7 +5,6 @@ import (
 	"repro/internal/document"
 	"repro/internal/eval"
 	"repro/internal/index"
-	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/termdict"
 )
@@ -112,11 +111,11 @@ func (u *Universe) Vectors() []*cluster.Vector {
 // partition it, so each problem's C ∪ U is the full universe and the shared
 // snapshot state applies verbatim. Each set becomes its problem's C as is —
 // the problems retain the sets, which must not be mutated afterwards — and
-// U is the word-wise union of the other sets. The per-cluster constructions
-// fan out through par.For.
+// U is the word-wise union of the other sets. A few words of bitset work per
+// cluster, so the constructions run serially.
 func (u *Universe) Problems(sets []document.BitSet) []*Problem {
 	problems := make([]*Problem, len(sets))
-	par.For(len(sets), func(i int) {
+	for i, c := range sets {
 		other := document.NewBitSet(len(u.docs))
 		for j, s := range sets {
 			if j != i {
@@ -128,12 +127,12 @@ func (u *Universe) Problems(sets []document.BitSet) []*Problem {
 			Pool:      u.pool,
 			w:         u.w,
 			containB:  u.containB,
-			cB:        sets[i],
+			cB:        c,
 			uB:        other,
 			allB:      u.allB,
 		}
 		p.sC, p.sU = p.sumBits(p.cB), p.sumBits(p.uB)
 		problems[i] = p
-	})
+	}
 	return problems
 }

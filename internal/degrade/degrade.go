@@ -2,14 +2,14 @@
 // controller: it maps observed load signals (worker queue depth and
 // occupancy, windowed error/abandon ratios, remaining request deadline) onto
 // an ordered ladder of serving tiers, so the server sheds *quality* before it
-// sheds *requests* — serving quality, then one bound-pruned restart, then
+// sheds *requests* — serving quality, then one k-means restart, then
 // cache-only answers, and only at the top of the ladder a 503.
 //
 // The ladder (docs/DEGRADATION.md carries the operator-facing table):
 //
 //	T0  requested quality untouched
-//	T1  quality floor serving (≤2 restarts, bound-pruned assignment)
-//	T2  quality floor minimal (one bound-pruned restart)
+//	T1  quality floor serving (≤2 restarts, early abandonment)
+//	T2  quality floor minimal (one restart)
 //	T3  expansion-cache only; a miss gets a fast single-cluster fallback
 //	T4  shed: 503 with a Retry-After derived from the queue drain rate
 //
@@ -42,7 +42,7 @@ const (
 	Tier0 Tier = iota
 	// Tier1 raises the quality floor to QualityServing.
 	Tier1
-	// Tier2 raises the quality floor to QualityMinimal: one bound-pruned
+	// Tier2 raises the quality floor to QualityMinimal: one k-means
 	// restart.
 	Tier2
 	// Tier3 answers from the expansion cache only; misses run a fast

@@ -10,18 +10,19 @@ import (
 	"repro/internal/index"
 )
 
-// mapParseQuery is ParseQuery as first written, de-duplicating through a
-// map: the reference the TermSet version must match. A field:value token is
-// keyed by its text as typed but kept lowercased, so two case variants of
-// one composite both stay.
+// mapParseQuery is ParseQuery de-duplicating through a map: the reference
+// the TermSet version must match. A field:value token is keyed by its
+// lowercased form, the form it is kept in, so case variants of one
+// composite collapse to the first.
 func mapParseQuery(idx *index.Index, raw string) Query {
 	var terms []string
 	seen := make(map[string]struct{})
 	for _, field := range strings.Fields(raw) {
 		if strings.Contains(field, ":") {
+			field = strings.ToLower(field)
 			if _, ok := seen[field]; !ok {
 				seen[field] = struct{}{}
-				terms = append(terms, strings.ToLower(field))
+				terms = append(terms, field)
 			}
 			continue
 		}

@@ -32,14 +32,15 @@ type Query struct {
 }
 
 // ParseQuery analyzes raw user text into a query using the index's analyzer.
-// Composite terms (containing ':') are kept verbatim.
+// Composite terms (containing ':') are lowercased and otherwise kept
+// verbatim; like every term, each is kept once.
 func ParseQuery(idx *index.Index, raw string) Query {
 	var terms []string
 	var seen analysis.TermSet
 	for field := range strings.FieldsSeq(raw) {
 		if strings.Contains(field, ":") {
-			if seen.Add(field) {
-				terms = append(terms, strings.ToLower(field))
+			if field = strings.ToLower(field); seen.Add(field) {
+				terms = append(terms, field)
 			}
 			continue
 		}

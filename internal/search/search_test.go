@@ -145,6 +145,16 @@ func TestParseQueryKeepsComposite(t *testing.T) {
 	}
 }
 
+// TestParseQueryDeduplicatesCompositeCase: case variants of one field:value
+// token are one term, kept once in its lowercased form.
+func TestParseQueryDeduplicatesCompositeCase(t *testing.T) {
+	e := buildEngine(t)
+	q := ParseQuery(e.Index(), "Brand:Canon brand:canon printer BRAND:CANON")
+	if want := []string{"brand:canon", "printer"}; !slices.Equal(q.Terms, want) {
+		t.Errorf("ParseQuery = %q, want %q", q.Terms, want)
+	}
+}
+
 func TestQueryString(t *testing.T) {
 	if got := NewQuery("a", "b").String(); got != "a b" {
 		t.Errorf("String = %q", got)

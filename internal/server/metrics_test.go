@@ -84,8 +84,8 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestColdExpandCountsEveryFan checks that the fan telemetry covers the
 // whole pipeline, k-means included: one cold /expand with k = 2 raises
-// qec_core_fans_total by at least three — the k-means restart fan plus the
-// per-cluster problem and solve fans.
+// qec_core_fans_total by at least two — the k-means restart fan plus the
+// per-cluster solve fan (the per-cluster problems are built serially).
 func TestColdExpandCountsEveryFan(t *testing.T) {
 	ts := httptest.NewServer(New(ambiguousEngine(t), Options{}).Handler())
 	defer ts.Close()
@@ -115,8 +115,8 @@ func TestColdExpandCountsEveryFan(t *testing.T) {
 	if resp, data := postJSON(t, ts.Client(), ts.URL+"/expand", ExpandRequest{Query: "apple", K: 2}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	if d := fans() - before; d < 3 {
-		t.Fatalf("qec_core_fans_total rose by %d on a cold k=2 expansion, want >= 3", d)
+	if d := fans() - before; d < 2 {
+		t.Fatalf("qec_core_fans_total rose by %d on a cold k=2 expansion, want >= 2", d)
 	}
 }
 

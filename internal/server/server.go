@@ -19,7 +19,7 @@
 //
 // With Options.Degrade the server consults an adaptive degradation
 // controller (internal/degrade) at admission: under load it raises the
-// clustering quality floor to serving, then to one bound-pruned restart,
+// clustering quality floor to serving, then to one k-means restart,
 // falls back to cache-only answers, and only as the last rung sheds with
 // 503 + Retry-After. The tier a request was served at is stamped into the
 // response ("degraded" field and X-Qec-Tier header), the access log, the
@@ -105,7 +105,7 @@ type Options struct {
 	FlightCapacity int
 	// Degrade enables the adaptive degradation controller: expand requests
 	// are admitted through the internal/degrade tier ladder, shedding
-	// quality (serving, one bound-pruned restart, cache-only) before
+	// quality (serving, one k-means restart, cache-only) before
 	// shedding requests. Off by default.
 	Degrade bool
 	// DegradeMaxTier clamps the ladder (1..4; see degrade.Tier). Values

@@ -120,7 +120,7 @@ type ExpandResponse struct {
 	ExpansionWire
 	TookMS float64 `json:"took_ms"`
 	// Degraded is the degradation-ladder tier the request was served at
-	// (1 = serving quality, 2 = one bound-pruned restart, 3 = cache only);
+	// (1 = serving quality, 2 = one k-means restart, 3 = cache only);
 	// omitted at full quality or when degradation is disabled. The same
 	// value rides in the X-Qec-Tier response header.
 	Degraded int `json:"degraded,omitempty"`

@@ -56,15 +56,15 @@ type Quality = cluster.Quality
 
 const (
 	// QualityExact (the default) runs clustering with the full restart
-	// budget and exact assignment arithmetic: output is bit-identical to
-	// the historical implementation for a fixed seed.
+	// budget, every restart to convergence: output is bit-identical to the
+	// historical implementation for a fixed seed.
 	QualityExact = cluster.QualityExact
 	// QualityServing trades a deterministic accuracy delta for latency:
-	// fewer k-means restarts and bound-pruned assignment. Runs remain
+	// at most two k-means restarts, with early abandonment. Runs remain
 	// deterministic for a fixed seed, but results are not comparable to
 	// QualityExact's.
 	QualityServing = cluster.QualityServing
-	// QualityMinimal runs one bound-pruned k-means restart. The degradation
+	// QualityMinimal runs one k-means restart. The degradation
 	// ladder applies it at T2 and T3; ParseQuality has no name for it.
 	QualityMinimal = cluster.QualityMinimal
 )
