@@ -151,7 +151,7 @@ type SampleExplain struct {
 // exactly as in ExpandTraced.
 func (e *Engine) ExpandExplained(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace) (*Expansion, *Explain, error) {
 	ex := &Explain{}
-	exp, err := e.expandFull(ctx, raw, opts, tr, ex)
+	exp, err := e.expand(ctx, raw, opts, tr, ex)
 	if err != nil {
 		return nil, nil, err
 	}

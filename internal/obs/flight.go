@@ -50,19 +50,22 @@ func ParseOutcome(s string) (Outcome, bool) {
 	return 0, false
 }
 
-// RequestRecord is one completed request as the flight recorder retains it.
-// Records are immutable once handed to Record: the recorder stores the
-// pointer, and concurrent readers receive the same pointer, so the writing
-// handler must not touch the record afterwards.
+// RequestRecord is one /expand or /search request: the server fills it
+// from the moment the request arrives until its one terminal, which writes
+// the access-log line from it and offers it to the flight recorder. The
+// "debug" field of an /expand response is rendered from it too. The
+// recorder keeps a copy, which concurrent readers share and nobody mutates.
 type RequestRecord struct {
 	// TraceID is the request's trace identifier (16-hex on the wire).
 	TraceID uint64
-	// Endpoint is the request path ("/expand", "/search").
+	// Endpoint is the endpoint's name without its slash ("expand",
+	// "search").
 	Endpoint string
-	// Query is the raw user query.
+	// Query is the raw user query ("" when the request ended before its
+	// body was decoded).
 	Query string
 	// Method and Quality are the expansion method/quality labels ("" for
-	// /search).
+	// /search and for requests that ended before they were known).
 	Method  string
 	Quality string
 	// Status is the HTTP status written.
@@ -90,20 +93,6 @@ type RequestRecord struct {
 	Tier int
 }
 
-// FromTrace copies the trace-derived fields (id, cache state, stage spans,
-// k-means bookkeeping) into the record. A nil trace leaves them zero.
-func (r *RequestRecord) FromTrace(tr *Trace) {
-	if tr == nil {
-		return
-	}
-	r.TraceID = tr.ID
-	r.Cache = tr.Cache
-	r.Stages = tr.Durations
-	r.KMeansRestarts = tr.KMeansRestarts
-	r.KMeansIterations = tr.KMeansIterations
-	r.KMeansAbandoned = tr.KMeansAbandoned
-}
-
 // FlightRecorder is a lock-free fixed-capacity ring of completed request
 // records. Two rings back it: the main ring holds the most recent admitted
 // records of any kind, and a smaller notable ring holds only
@@ -113,7 +102,7 @@ func (r *RequestRecord) FromTrace(tr *Trace) {
 // minWrap the admission rate halves (up to 1-in-1024), and it recovers when
 // traffic slows. Notable records are always admitted to both rings.
 //
-// Writers publish immutable *RequestRecord values with a single atomic
+// Record publishes its immutable copy of a record with a single atomic
 // pointer store; readers load pointers. No locks, no seqlocks, no torn
 // reads — eviction is overwrite.
 type FlightRecorder struct {
@@ -161,24 +150,27 @@ func NewFlightRecorder(capacity, notableCapacity int) *FlightRecorder {
 // Capacity returns the main ring's slot count.
 func (f *FlightRecorder) Capacity() int { return len(f.slots) }
 
-// Record admits one completed request. notable marks slow/error/aborted
+// Record offers one completed request. notable marks slow/error/aborted
 // requests: they bypass sampling and are retained in the dedicated notable
-// ring as well as the main ring. The record must not be mutated after the
-// call.
+// ring as well as the main ring. Admission is decided first: a plain record
+// that sampling drops costs nothing, and an admitted one is copied to the
+// heap once, so the caller keeps rec.
 func (f *FlightRecorder) Record(rec *RequestRecord, notable bool) {
-	rec.Notable = notable
-	if notable {
-		i := f.notableHead.Add(1) - 1
-		f.notables[i%uint64(len(f.notables))].Store(rec)
-	} else if shift := f.sampleShift.Load(); shift > 0 {
-		seq := f.plainSeq.Add(1)
-		if seq&(1<<uint(shift)-1) != 0 {
+	if shift := f.sampleShift.Load(); !notable && shift > 0 {
+		if f.plainSeq.Add(1)&(1<<uint(shift)-1) != 0 {
 			f.sampled.Inc()
 			return
 		}
 	}
+	kept := new(RequestRecord)
+	*kept = *rec
+	kept.Notable = notable
+	if notable {
+		i := f.notableHead.Add(1) - 1
+		f.notables[i%uint64(len(f.notables))].Store(kept)
+	}
 	i := f.head.Add(1) - 1
-	f.slots[i%uint64(len(f.slots))].Store(rec)
+	f.slots[i%uint64(len(f.slots))].Store(kept)
 	f.recorded.Inc()
 	if i > 0 && i%uint64(len(f.slots)) == 0 {
 		f.adjustSampling()

@@ -10,7 +10,7 @@ import (
 func mkRec(id uint64, took time.Duration) *RequestRecord {
 	return &RequestRecord{
 		TraceID:  id,
-		Endpoint: "/expand",
+		Endpoint: "expand",
 		Query:    "java",
 		Start:    time.Now(),
 		Took:     took,
@@ -100,6 +100,28 @@ func TestFlightRecorderSampling(t *testing.T) {
 	}
 	if got := len(f.Snapshot(0)); got > 20 {
 		t.Errorf("snapshot %d records exceeds capacity 20", got)
+	}
+}
+
+// TestFlightRecorderDropIsAllocFree pins that Record decides admission
+// before it copies: with sampling on, a plain record it drops costs no
+// allocation, and an admitted one costs exactly the one copy it keeps.
+func TestFlightRecorderDropIsAllocFree(t *testing.T) {
+	f := NewFlightRecorder(16, 4)
+	f.sampleShift.Store(maxSampleShift) // admit 1 plain record in 1024
+	rec := mkRec(1, time.Millisecond)
+	const runs = 100 // with the warm-up call, 101 < 1024 offers: all dropped
+	if allocs := testing.AllocsPerRun(runs, func() { f.Record(rec, false) }); allocs != 0 {
+		t.Errorf("dropped plain record: %v allocs/op; want 0", allocs)
+	}
+	if recorded, sampledOut, _ := f.Stats(); recorded != 0 || sampledOut != runs+1 {
+		t.Fatalf("recorded %d, sampled %d; want 0, %d", recorded, sampledOut, runs+1)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { f.Record(rec, true) }); allocs != 1 {
+		t.Errorf("admitted notable record: %v allocs/op; want 1", allocs)
+	}
+	if got := f.Find(1); got == nil || got == rec || !got.Notable || rec.Notable {
+		t.Fatal("Record must keep its own copy, marked notable, and leave the caller's record alone")
 	}
 }
 
@@ -220,8 +242,8 @@ func TestFlightRecorderProperties(t *testing.T) {
 
 func TestActiveSet(t *testing.T) {
 	a := NewActiveSet(3)
-	t1 := a.Begin(&ActiveRequest{TraceID: 1, Endpoint: "/expand", Start: time.Unix(10, 0)})
-	t2 := a.Begin(&ActiveRequest{TraceID: 2, Endpoint: "/search", Start: time.Unix(5, 0)})
+	t1 := a.Begin(&ActiveRequest{TraceID: 1, Endpoint: "expand", Start: time.Unix(10, 0)})
+	t2 := a.Begin(&ActiveRequest{TraceID: 2, Endpoint: "search", Start: time.Unix(5, 0)})
 	if t1 < 0 || t2 < 0 {
 		t.Fatal("Begin failed with free slots")
 	}

@@ -41,61 +41,46 @@ func (l *jsonLogger) log(fn func(dst []byte) []byte) {
 	_, _ = l.w.Write(l.buf)
 }
 
-// accessEntry is everything one request log line carries. stages toggles the
-// per-stage breakdown (slow-query lines get it, plain access lines do not).
-type accessEntry struct {
-	trace    uint64
-	endpoint string
-	query    string
-	method   string
-	quality  string
-	status   int
-	took     time.Duration
-	cache    obs.CacheState
-	tier     int
-	tr       *obs.Trace
-	stages   bool
-	slow     bool
-}
-
-// appendAccessEntry renders one JSON log line (without the newline).
-func appendAccessEntry(dst []byte, e *accessEntry, now time.Time) []byte {
+// appendAccessEntry renders rec as one JSON log line (without the newline).
+// slow marks a request at or over Options.SlowQuery; stages adds its
+// per-stage breakdown and k-means bookkeeping.
+func appendAccessEntry(dst []byte, rec *obs.RequestRecord, now time.Time, slow, stages bool) []byte {
 	dst = append(dst, `{"ts":"`...)
 	dst = now.AppendFormat(dst, time.RFC3339Nano)
 	dst = append(dst, `","trace":"`...)
-	dst = obs.AppendID(dst, e.trace)
+	dst = obs.AppendID(dst, rec.TraceID)
 	dst = append(dst, `","endpoint":`...)
-	dst = appendJSONString(dst, e.endpoint)
+	dst = appendJSONString(dst, rec.Endpoint)
 	dst = append(dst, `,"query":`...)
-	dst = appendJSONString(dst, e.query)
-	if e.method != "" {
+	dst = appendJSONString(dst, rec.Query)
+	if rec.Method != "" {
 		dst = append(dst, `,"method":`...)
-		dst = appendJSONString(dst, e.method)
+		dst = appendJSONString(dst, rec.Method)
 	}
-	if e.quality != "" {
+	if rec.Quality != "" {
 		dst = append(dst, `,"quality":`...)
-		dst = appendJSONString(dst, e.quality)
+		dst = appendJSONString(dst, rec.Quality)
 	}
 	dst = append(dst, `,"status":`...)
-	dst = strconv.AppendInt(dst, int64(e.status), 10)
+	dst = strconv.AppendInt(dst, int64(rec.Status), 10)
 	dst = append(dst, `,"took_ms":`...)
-	dst = appendJSONFloat(dst, float64(e.took.Microseconds())/1000)
-	if e.cache != obs.CacheNone {
+	dst = appendJSONFloat(dst, float64(rec.Took.Microseconds())/1000)
+	if rec.Cache != obs.CacheNone {
 		dst = append(dst, `,"cache":`...)
-		dst = appendJSONString(dst, e.cache.String())
+		dst = appendJSONString(dst, rec.Cache.String())
 	}
-	if e.tier > 0 {
+	if rec.Tier > 0 {
 		dst = append(dst, `,"tier":`...)
-		dst = strconv.AppendInt(dst, int64(e.tier), 10)
+		dst = strconv.AppendInt(dst, int64(rec.Tier), 10)
 	}
-	if e.slow {
+	if slow {
 		dst = append(dst, `,"slow":true`...)
 	}
-	if e.stages && e.tr != nil {
+	if stages {
 		dst = append(dst, `,"stages":{`...)
 		first := true
 		for st := 0; st < obs.NumStages; st++ {
-			d := e.tr.Durations[st]
+			d := rec.Stages[st]
 			if d <= 0 {
 				continue
 			}
@@ -110,11 +95,11 @@ func appendAccessEntry(dst []byte, e *accessEntry, now time.Time) []byte {
 		}
 		dst = append(dst, '}')
 		dst = append(dst, `,"kmeans":{"restarts":`...)
-		dst = strconv.AppendInt(dst, int64(e.tr.KMeansRestarts), 10)
+		dst = strconv.AppendInt(dst, int64(rec.KMeansRestarts), 10)
 		dst = append(dst, `,"iterations":`...)
-		dst = strconv.AppendInt(dst, int64(e.tr.KMeansIterations), 10)
+		dst = strconv.AppendInt(dst, int64(rec.KMeansIterations), 10)
 		dst = append(dst, `,"abandoned":`...)
-		dst = strconv.AppendInt(dst, int64(e.tr.KMeansAbandoned), 10)
+		dst = strconv.AppendInt(dst, int64(rec.KMeansAbandoned), 10)
 		dst = append(dst, '}')
 	}
 	dst = append(dst, '}')
@@ -122,22 +107,21 @@ func appendAccessEntry(dst []byte, e *accessEntry, now time.Time) []byte {
 }
 
 // logRequest emits the request's access-log line and, when the request was
-// slower than Options.SlowQuery, a slow-query line with the full per-stage
-// breakdown. When both logs share a destination the slow breakdown rides
-// inline on the access line instead of duplicating it.
-func (s *Server) logRequest(e *accessEntry) {
+// slow, a slow-query line with the full per-stage breakdown — when its
+// expansion trace came back (traced); an abandoned one carries none. When
+// both logs share a destination the slow breakdown rides inline on the
+// access line instead of duplicating it.
+func (s *Server) logRequest(rec *obs.RequestRecord, slow, traced bool) {
 	if s.accessLog == nil && s.slowLog == nil {
 		return
 	}
-	e.slow = s.opts.SlowQuery > 0 && e.took >= s.opts.SlowQuery
 	now := time.Now()
 	if s.accessLog != nil {
-		e.stages = e.slow && s.slowLog == nil
-		s.accessLog.log(func(dst []byte) []byte { return appendAccessEntry(dst, e, now) })
+		stages := traced && slow && s.slowLog == nil
+		s.accessLog.log(func(dst []byte) []byte { return appendAccessEntry(dst, rec, now, slow, stages) })
 	}
-	if e.slow && s.slowLog != nil {
-		e.stages = true
-		s.slowLog.log(func(dst []byte) []byte { return appendAccessEntry(dst, e, now) })
+	if slow && s.slowLog != nil {
+		s.slowLog.log(func(dst []byte) []byte { return appendAccessEntry(dst, rec, now, true, traced) })
 	}
 }
 

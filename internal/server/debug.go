@@ -128,17 +128,10 @@ func newFlightRecordWire(rec *obs.RequestRecord) FlightRecordWire {
 		TookMS:   float64(rec.Took.Microseconds()) / 1000,
 		Notable:  rec.Notable,
 		Tier:     rec.Tier,
+		Stages:   stageTimings(rec),
 	}
 	if rec.Cache != obs.CacheNone {
 		wire.Cache = rec.Cache.String()
-	}
-	for st := 0; st < obs.NumStages; st++ {
-		if d := rec.Stages[st]; d > 0 {
-			wire.Stages = append(wire.Stages, StageTiming{
-				Stage: obs.Stage(st).String(),
-				MS:    float64(d.Microseconds()) / 1000,
-			})
-		}
 	}
 	if rec.KMeansRestarts > 0 {
 		wire.KMeans = &KMeansDebug{

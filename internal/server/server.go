@@ -88,9 +88,9 @@ type Options struct {
 	// with qec-serve -quality serving, while individual requests can still
 	// pin either mode.
 	DefaultQuality qec.Quality
-	// AccessLog, when non-nil, receives one JSON line per served
-	// search/expand request: timestamp, trace ID, endpoint, query, method,
-	// quality, status, latency and cache disposition.
+	// AccessLog, when non-nil, receives one JSON line per search/expand
+	// request, whatever its exit: timestamp, trace ID, endpoint, query,
+	// method, quality, status, latency and cache disposition.
 	AccessLog io.Writer
 	// SlowQuery, when positive, marks requests at or above this latency as
 	// slow: their log line gains the full per-stage timing breakdown.
@@ -291,17 +291,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // Draining reports whether graceful shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// rejectDraining answers one request arriving after shutdown began. Returns
-// true when the request was rejected.
-func (s *Server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.rejects.Add(1)
-	s.writeRetryError(w, http.StatusServiceUnavailable, "server draining")
-	return true
-}
-
 // --- handlers ---------------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -399,34 +388,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.total.Add(1)
 	s.searches.Add(1)
-	if !s.allowMethod(w, r, http.MethodPost) {
-		return
-	}
-	if s.rejectDraining(w) {
-		return
-	}
+	x := s.begin(w, r, "search")
+	defer s.finish(&x)
 	var req SearchRequest
-	if !s.decode(w, r, &req) {
+	if !s.accept(&x, &req, &req.Query) {
 		return
 	}
-	if strings.TrimSpace(req.Query) == "" {
-		s.writeError(w, http.StatusBadRequest, "query is required")
-		return
-	}
-	traceID := s.requestTraceID(r)
-	w.Header().Set("X-Trace-Id", obs.IDString(traceID))
-	start := time.Now()
-	token := s.active.Begin(&obs.ActiveRequest{
-		TraceID: traceID, Endpoint: "search", Query: req.Query, Start: start,
-	})
-	defer s.active.End(token)
+	x.hist = &s.searchHist
 	results := s.eng.Search(req.Query, req.TopK)
 	resp := SearchResponse{
 		Count:  len(results),
 		Hits:   make([]SearchHit, 0, len(results)),
-		TookMS: float64(time.Since(start).Microseconds()) / 1000,
+		TookMS: float64(time.Since(x.rec.Start).Microseconds()) / 1000,
 	}
 	getter, hasGetter := s.eng.(interface{ Get(qec.DocID) *qec.Document })
 	for _, res := range results {
@@ -439,55 +413,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.Hits = append(resp.Hits, hit)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-	took := time.Since(start)
-	s.searchHist.Observe(took)
-	entry := accessEntry{
-		trace:    traceID,
-		endpoint: "search",
-		query:    req.Query,
-		status:   http.StatusOK,
-		took:     took,
-	}
-	s.logRequest(&entry)
-	s.recordFlight(&entry, start, nil)
+	x.rec.Status = http.StatusOK
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
-	s.total.Add(1)
 	s.expands.Add(1)
-	if !s.allowMethod(w, r, http.MethodPost) {
-		return
-	}
-	if s.rejectDraining(w) {
-		return
-	}
+	x := s.begin(w, r, "expand")
+	defer s.finish(&x)
 	var req ExpandRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		s.writeError(w, http.StatusBadRequest, "query is required")
+	if !s.accept(&x, &req, &req.Query) {
 		return
 	}
 	opts, err := req.Options(s.opts.DefaultQuality)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.fail(&x, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	traceID := s.requestTraceID(r)
-	w.Header().Set("X-Trace-Id", obs.IDString(traceID))
-	entry := accessEntry{
-		trace:    traceID,
-		endpoint: "expand",
-		query:    req.Query,
-		method:   qec.MethodLabel(int(opts.Method)),
-	}
-	start := time.Now()
-	token := s.active.Begin(&obs.ActiveRequest{
-		TraceID: traceID, Endpoint: "expand", Query: req.Query, Start: start,
-	})
-	defer s.active.End(token)
+	x.rec.Method = qec.MethodLabel(int(opts.Method))
+	x.hist = &s.expandHist[opts.Quality]
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
@@ -503,22 +446,15 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		}
 		dec = s.ctrl.Admit(remaining)
 		w.Header().Set("X-Qec-Tier", dec.Tier.String())
-		entry.tier = int(dec.Tier)
+		x.rec.Tier = int(dec.Tier)
+		x.tierHist = &s.tierHist[dec.Tier]
 	}
 	if dec.Shed {
-		// T4: the ladder's last rung. The 503 carries a Retry-After derived
-		// from the queue drain rate; the shed is notable in the flight
+		// T4: the ladder's last rung. The shed is notable in the flight
 		// recorder (outcome "rejected"), so operators can see exactly which
 		// queries were turned away.
 		s.sheds.Add(1)
-		s.rejects.Add(1)
-		s.writeRetryError(w, http.StatusServiceUnavailable,
-			"degraded to shedding (tier T4), try again later")
-		entry.status = http.StatusServiceUnavailable
-		entry.took = time.Since(start)
-		s.tierHist[dec.Tier].Observe(entry.took)
-		s.logRequest(&entry)
-		s.recordFlight(&entry, start, nil)
+		s.fail(&x, http.StatusServiceUnavailable, "degraded to shedding (tier T4), try again later")
 		return
 	}
 	if dec.CacheOnly {
@@ -526,16 +462,9 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		// options — cached entries hold full-fidelity answers computed in
 		// calmer times, strictly better than anything T3 could compute now.
 		if exp, ok := s.eng.ExpandCached(req.Query, opts); ok {
-			took := time.Since(start)
-			s.expandHist[opts.Quality].Observe(took)
-			s.tierHist[dec.Tier].Observe(took)
-			s.writeExpand(w, exp, float64(took.Microseconds())/1000, int(dec.Tier), nil, nil)
-			entry.status = http.StatusOK
-			entry.took = took
-			entry.cache = obs.CacheHit
-			entry.quality = opts.Quality.String()
-			s.logRequest(&entry)
-			s.recordFlight(&entry, start, nil)
+			x.rec.Quality = opts.Quality.String()
+			x.rec.Cache = obs.CacheHit
+			s.writeExpand(&x, exp, nil, nil)
 			return
 		}
 		// Miss: a fast single-cluster fallback (K=1 skips the k-means
@@ -545,7 +474,8 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		opts.Interleave = 0
 	}
 	opts.Quality = max(opts.Quality, dec.Floor)
-	entry.quality = opts.Quality.String()
+	x.rec.Quality = opts.Quality.String()
+	x.hist = &s.expandHist[opts.Quality]
 
 	// Acquire a worker slot, giving up at the request deadline.
 	s.queued.Inc()
@@ -554,20 +484,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		s.queued.Dec()
 	case <-ctx.Done():
 		s.queued.Dec()
-		if r.Context().Err() != nil {
-			// The client went away while queued — not server saturation.
-			s.canceled.Add(1)
-			s.writeError(w, statusClientClosedRequest, "client closed request")
-			entry.status = statusClientClosedRequest
-		} else {
-			s.rejects.Add(1)
-			s.writeRetryError(w, http.StatusServiceUnavailable,
-				"expansion workers saturated, try again")
-			entry.status = http.StatusServiceUnavailable
-		}
-		entry.took = time.Since(start)
-		s.logRequest(&entry)
-		s.recordFlight(&entry, start, nil)
+		s.expired(&x, true)
 		return
 	}
 
@@ -577,7 +494,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		err error
 	}
 	tr := obs.GetTrace()
-	tr.ID = traceID
+	tr.ID = x.rec.TraceID
 	done := make(chan outcome, 1)
 	go func() {
 		// The request context threads all the way into the pipeline: a
@@ -601,75 +518,162 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		done <- out
 	}()
 
+	var out outcome
 	select {
-	case out := <-done:
-		took := time.Since(start)
-		entry.took = took
-		entry.cache = tr.Cache
-		entry.tr = tr
-		s.expandHist[opts.Quality].Observe(took)
-		if s.ctrl != nil {
-			s.tierHist[dec.Tier].Observe(took)
-		}
-		switch {
-		case r.Context().Err() != nil:
-			// The client disconnected while the expansion ran and the
-			// completion beat the connection-close notification to this
-			// select: still a disconnect, not a served request. (Without
-			// this, the classification depends on which signal wins the
-			// race.)
-			s.canceled.Add(1)
-			s.writeError(w, statusClientClosedRequest, "client closed request")
-			entry.status = statusClientClosedRequest
-		case errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded):
-			// The engine surfaced our own cancellation (the pipeline stopped
-			// at a round boundary). The deadline case races with ctx.Done
-			// below — both classify it as a timeout either way.
-			s.timeouts.Add(1)
-			s.writeRetryError(w, http.StatusGatewayTimeout, "expansion timed out")
-			entry.status = http.StatusGatewayTimeout
-		case out.err != nil:
-			status := http.StatusUnprocessableEntity
-			switch {
-			case errors.Is(out.err, qec.ErrNoResults):
-				status = http.StatusNotFound
-			case errors.Is(out.err, qec.ErrEmptyQuery):
-				status = http.StatusBadRequest
-			}
-			s.writeError(w, status, out.err.Error())
-			entry.status = status
-		default:
-			var debug *ExpandDebug
-			if req.Debug {
-				debug = newExpandDebug(tr)
-			}
-			s.writeExpand(w, out.exp, float64(took.Microseconds())/1000, int(dec.Tier), debug, out.ex)
-			entry.status = http.StatusOK
-		}
-		s.logRequest(&entry)
-		s.recordFlight(&entry, start, tr)
-		entry.tr = nil
-		obs.PutTrace(tr)
+	case out = <-done:
 	case <-ctx.Done():
-		// The worker goroutine is still writing to tr, so it cannot be
-		// recycled on this path — it escapes to the garbage collector.
-		entry.took = time.Since(start)
-		if r.Context().Err() != nil {
-			// Client disconnect, not a slow expansion: keep the timeout
-			// counter honest for operators watching /stats.
-			s.canceled.Add(1)
-			s.writeError(w, statusClientClosedRequest, "client closed request")
-			entry.status = statusClientClosedRequest
-		} else {
-			s.timeouts.Add(1)
-			s.writeRetryError(w, http.StatusGatewayTimeout, "expansion timed out")
-			entry.status = http.StatusGatewayTimeout
-		}
-		s.logRequest(&entry)
-		// tr is still owned by the worker goroutine on this path, so the
-		// flight record carries no stage spans.
-		s.recordFlight(&entry, start, nil)
+		// The worker still writes to tr, so the record carries no stage
+		// spans and the trace is left to the garbage collector.
+		s.expired(&x, false)
+		return
 	}
+	x.traced(tr)
+	switch {
+	case r.Context().Err() != nil || errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded):
+		// The engine surfaced our own cancellation at a round boundary, or
+		// the client went away while the expansion ran: a completion that
+		// beat the connection-close notification is still a disconnect,
+		// whichever signal wins the race.
+		s.expired(&x, false)
+	case errors.Is(out.err, qec.ErrNoResults):
+		s.fail(&x, http.StatusNotFound, out.err.Error())
+	case errors.Is(out.err, qec.ErrEmptyQuery):
+		s.fail(&x, http.StatusBadRequest, out.err.Error())
+	case out.err != nil:
+		s.fail(&x, http.StatusUnprocessableEntity, out.err.Error())
+	default:
+		var debug *ExpandDebug
+		if req.Debug {
+			debug = newExpandDebug(&x.rec)
+		}
+		s.writeExpand(&x, out.exp, debug, out.ex)
+	}
+}
+
+// --- the request record -------------------------------------------------------
+
+// exchange is one /expand or /search request from its arrival to its one
+// terminal: the record every exit fills, and what the terminal needs besides.
+type exchange struct {
+	rec obs.RequestRecord
+	w   http.ResponseWriter
+	r   *http.Request
+	// hist and tierHist are the latency histograms the terminal observes:
+	// nil until the request passes validation, and tierHist stays nil with
+	// the degradation controller off.
+	hist, tierHist *obs.Histogram
+	// active is the request's slot in the in-flight registry (-1: none).
+	active int
+	// tr is the trace the expansion worker handed back, recycled by the
+	// terminal (nil when no worker ran, or it still runs).
+	tr *obs.Trace
+}
+
+// begin opens the record of one /expand or /search request: its trace ID,
+// echoed in the X-Trace-Id header of every answer, its endpoint and start.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, endpoint string) exchange {
+	s.total.Add(1)
+	x := exchange{w: w, r: r, active: -1, rec: obs.RequestRecord{
+		TraceID: s.requestTraceID(r), Endpoint: endpoint, Start: time.Now(),
+	}}
+	w.Header().Set("X-Trace-Id", obs.IDString(x.rec.TraceID))
+	return x
+}
+
+// accept runs the checks before admission: a POST, a server that is not
+// draining, a body that decodes into req, and a query (*query, a field of
+// req) that is not blank. It answers the first check that fails and reports
+// false; a request that passes is registered as in flight.
+func (s *Server) accept(x *exchange, req any, query *string) bool {
+	switch {
+	case x.r.Method != http.MethodPost:
+		x.w.Header().Set("Allow", http.MethodPost)
+		s.fail(x, http.StatusMethodNotAllowed, "method not allowed, use "+http.MethodPost)
+	case s.draining.Load():
+		s.fail(x, http.StatusServiceUnavailable, "server draining")
+	case !s.decode(x, req):
+	case strings.TrimSpace(*query) == "":
+		s.fail(x, http.StatusBadRequest, "query is required")
+	default:
+		x.rec.Query = *query
+		x.active = s.active.Begin(&obs.ActiveRequest{
+			TraceID: x.rec.TraceID, Endpoint: x.rec.Endpoint, Query: *query, Start: x.rec.Start,
+		})
+		return true
+	}
+	return false
+}
+
+// fail answers the request with an error body and stamps status on its
+// record. A 5xx answer — draining, shed, saturated, timed out — also tells
+// the client when to come back, in a Retry-After derived from the queue
+// drain rate.
+func (s *Server) fail(x *exchange, status int, msg string) {
+	if status >= 500 {
+		x.w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	}
+	s.writeError(x.w, status, msg)
+	x.rec.Status = status
+}
+
+// expired answers an /expand whose deadline context ended before it was
+// served. It is the one place a client that went away is told apart from a
+// server-side limit: 499 when the client disconnected — its own doing, not
+// a timeout or saturation — else 503 when it never got a worker (queued)
+// and 504 when its expansion ran out of time.
+func (s *Server) expired(x *exchange, queued bool) {
+	switch {
+	case x.r.Context().Err() != nil:
+		s.fail(x, statusClientClosedRequest, "client closed request")
+	case queued:
+		s.fail(x, http.StatusServiceUnavailable, "expansion workers saturated, try again")
+	default:
+		s.fail(x, http.StatusGatewayTimeout, "expansion timed out")
+	}
+}
+
+// traced takes the trace the expansion worker handed back: its cache
+// disposition, stage spans and k-means bookkeeping go on the record, and
+// the terminal recycles it.
+func (x *exchange) traced(tr *obs.Trace) {
+	x.tr = tr
+	x.rec.Cache = tr.Cache
+	x.rec.Stages = tr.Durations
+	x.rec.KMeansRestarts = tr.KMeansRestarts
+	x.rec.KMeansIterations = tr.KMeansIterations
+	x.rec.KMeansAbandoned = tr.KMeansAbandoned
+}
+
+// finish is the one terminal of every /expand and /search request, deferred
+// when it arrives. It sets Took, end to end with the response written, and
+// the outcome, and counts the outcome in /stats. A request that passed
+// validation is observed in the latency histograms, whatever its outcome;
+// the early 4xx and draining exits are not. Every request then gets exactly
+// one access-log line (plus a slow-log line when slow) and is offered once
+// to the flight recorder, slow and non-OK requests as notable.
+func (s *Server) finish(x *exchange) {
+	s.active.End(x.active)
+	rec := &x.rec
+	rec.Took = time.Since(rec.Start)
+	rec.Outcome = outcomeFor(rec.Status)
+	switch rec.Outcome {
+	case obs.OutcomeTimeout:
+		s.timeouts.Add(1)
+	case obs.OutcomeCanceled:
+		s.canceled.Add(1)
+	case obs.OutcomeRejected:
+		s.rejects.Add(1)
+	}
+	if x.hist != nil {
+		x.hist.Observe(rec.Took)
+	}
+	if x.tierHist != nil {
+		x.tierHist.Observe(rec.Took)
+	}
+	slow := s.opts.SlowQuery > 0 && rec.Took >= s.opts.SlowQuery
+	s.logRequest(rec, slow, x.tr != nil)
+	s.flight.Record(rec, slow || rec.Outcome != obs.OutcomeOK)
+	obs.PutTrace(x.tr)
 }
 
 // --- request introspection ---------------------------------------------------
@@ -701,35 +705,6 @@ func outcomeFor(status int) obs.Outcome {
 	default:
 		return obs.OutcomeOK
 	}
-}
-
-// recordFlight hands one completed request to the flight recorder. Slow and
-// non-OK requests are notable: exempt from sampling and retained in the
-// dedicated notable ring. tr may be nil (search requests, timed-out
-// expansions whose trace is still owned by the worker goroutine).
-func (s *Server) recordFlight(e *accessEntry, start time.Time, tr *obs.Trace) {
-	rec := &obs.RequestRecord{
-		TraceID:  e.trace,
-		Endpoint: e.endpoint,
-		Query:    e.query,
-		Method:   e.method,
-		Quality:  e.quality,
-		Status:   e.status,
-		Outcome:  outcomeFor(e.status),
-		Start:    start,
-		Took:     e.took,
-	}
-	rec.FromTrace(tr)
-	rec.TraceID = e.trace
-	rec.Tier = e.tier
-	if rec.Cache == obs.CacheNone {
-		// Paths that never ran a trace (the T3 cache-only read) still carry
-		// a disposition on the entry.
-		rec.Cache = e.cache
-	}
-	notable := rec.Outcome != obs.OutcomeOK ||
-		(s.opts.SlowQuery > 0 && e.took >= s.opts.SlowQuery)
-	s.flight.Record(rec, notable)
 }
 
 // DumpActive writes a snapshot of in-flight requests to the access log (the
@@ -890,14 +865,6 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// writeRetryError is writeError with a Retry-After header derived from the
-// queue drain rate — every shed, saturation and timeout path goes through
-// here so clients always learn when to come back.
-func (s *Server) writeRetryError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	s.writeError(w, status, msg)
-}
-
 // rateStats derives the windowed rates for /stats and /metrics.
 func (s *Server) rateStats() RateStats {
 	s.maybeTickRates()
@@ -949,18 +916,18 @@ var bufPool = sync.Pool{New: func() any { return new(wireBuf) }}
 // fields, type mismatches, malformed JSON and trailing data are all 400s;
 // null leaves a field at its zero value, and keys match case-insensitively,
 // as encoding/json does.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+func (s *Server) decode(x *exchange, v any) bool {
+	body := http.MaxBytesReader(x.w, x.r.Body, s.opts.MaxBodyBytes)
 	wb := bufPool.Get().(*wireBuf)
 	defer bufPool.Put(wb)
 	wb.body.Reset()
 	if _, err := wb.body.ReadFrom(body); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+			s.fail(x, http.StatusRequestEntityTooLarge, "request body too large")
 			return false
 		}
-		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		s.fail(x, http.StatusBadRequest, "reading body: "+err.Error())
 		return false
 	}
 	// Decode straight off the pooled bytes; the decoder copies what it
@@ -969,11 +936,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(&wb.rdr)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		s.fail(x, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return false
 	}
 	if dec.More() {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: trailing data")
+		s.fail(x, http.StatusBadRequest, "invalid JSON body: trailing data")
 		return false
 	}
 	return true
@@ -988,13 +955,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, &wb.out, json.NewEncoder(&wb.out).Encode(v))
 }
 
-// writeExpand writes the body of every 200 /expand, byte-identical to
-// writeJSON of the ExpandResponse it stands for (pinned by TestExpandWire).
-func (s *Server) writeExpand(w http.ResponseWriter, exp *qec.Expansion, tookMS float64, degraded int, debug *ExpandDebug, explain *qec.Explain) {
+// writeExpand answers an /expand with exp, byte-identical to writeJSON of
+// the ExpandResponse it stands for (pinned by TestExpandWire), and stamps
+// the status written on the record.
+func (s *Server) writeExpand(x *exchange, exp *qec.Expansion, debug *ExpandDebug, explain *qec.Explain) {
+	tookMS := float64(time.Since(x.rec.Start).Microseconds()) / 1000
 	wb := bufPool.Get().(*wireBuf)
 	defer bufPool.Put(wb)
 	wb.out.Reset()
-	writeBody(w, http.StatusOK, &wb.out, s.encodeExpand(&wb.out, exp, tookMS, degraded, debug, explain))
+	x.rec.Status = writeBody(x.w, http.StatusOK, &wb.out, s.encodeExpand(&wb.out, exp, tookMS, x.rec.Tier, debug, explain))
 }
 
 // encodeExpand appends an ExpandResponse body to out: "{", the ExpansionWire
@@ -1062,16 +1031,17 @@ func encodeMember(out *bytes.Buffer, enc *json.Encoder, key string, v any) error
 }
 
 // writeBody writes the encoded body in out with an explicit Content-Length,
-// or a 500 when encoding it failed.
-func writeBody(w http.ResponseWriter, status int, out *bytes.Buffer, err error) {
+// or a 500 when encoding it failed, and returns the status it wrote.
+func writeBody(w http.ResponseWriter, status int, out *bytes.Buffer, err error) int {
 	if err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
+		return http.StatusInternalServerError
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(out.Bytes())
+	return status
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {

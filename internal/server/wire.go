@@ -156,27 +156,29 @@ type ExpandDebug struct {
 	KMeans  KMeansDebug   `json:"kmeans"`
 }
 
-// newExpandDebug converts a completed request trace to its wire form.
-func newExpandDebug(tr *obs.Trace) *ExpandDebug {
-	d := &ExpandDebug{
-		TraceID: obs.IDString(tr.ID),
-		Cache:   tr.Cache.String(),
-		Stages:  make([]StageTiming, 0, obs.NumStages),
+// newExpandDebug renders a request's record as its "debug" section.
+func newExpandDebug(rec *obs.RequestRecord) *ExpandDebug {
+	return &ExpandDebug{
+		TraceID: obs.IDString(rec.TraceID),
+		Cache:   rec.Cache.String(),
+		Stages:  stageTimings(rec),
 		KMeans: KMeansDebug{
-			Restarts:   tr.KMeansRestarts,
-			Iterations: tr.KMeansIterations,
-			Abandoned:  tr.KMeansAbandoned,
+			Restarts:   rec.KMeansRestarts,
+			Iterations: rec.KMeansIterations,
+			Abandoned:  rec.KMeansAbandoned,
 		},
 	}
+}
+
+// stageTimings lists the record's non-zero stage spans in pipeline order.
+func stageTimings(rec *obs.RequestRecord) []StageTiming {
+	out := make([]StageTiming, 0, obs.NumStages)
 	for st := 0; st < obs.NumStages; st++ {
-		if dur := tr.Durations[st]; dur > 0 {
-			d.Stages = append(d.Stages, StageTiming{
-				Stage: obs.Stage(st).String(),
-				MS:    float64(dur.Microseconds()) / 1000,
-			})
+		if d := rec.Stages[st]; d > 0 {
+			out = append(out, StageTiming{Stage: obs.Stage(st).String(), MS: float64(d.Microseconds()) / 1000})
 		}
 	}
-	return d
+	return out
 }
 
 // newExpansionWire converts a qec.Expansion to its wire form.

@@ -106,10 +106,6 @@ func checkExpandWire(t *testing.T, eng *qec.Engine, s *Server, h http.Handler, r
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	tr := obs.GetTrace()
-	defer obs.PutTrace(tr)
-	tr.ID = 0xfeed
-	tr.MarkCache(obs.CacheHit)
 	_, ex, err := eng.ExpandExplained(context.Background(), raw, opts, nil)
 	if err != nil {
 		t.Fatalf("%s: explain: %v", name, err)
@@ -126,7 +122,7 @@ func checkExpandWire(t *testing.T, eng *qec.Engine, s *Server, h http.Handler, r
 			variants = append(variants, variant{took: took, degraded: degraded})
 		}
 	}
-	debug := newExpandDebug(tr)
+	debug := newExpandDebug(&obs.RequestRecord{TraceID: 0xfeed, Cache: obs.CacheHit})
 	variants = append(variants, variant{1e-7, 2, debug, nil}, variant{1e21, 0, nil, ex}, variant{0, 3, debug, ex})
 	for _, v := range variants {
 		ref := newExpandResponse(exp, v.took)

@@ -486,17 +486,14 @@ func (e *Engine) ExpandCached(raw string, opts ExpandOptions) (*Expansion, bool)
 // time went; the spans only read the clock — no pipeline arithmetic depends
 // on them, so instrumented output is bit-identical to uninstrumented
 // (pinned by TestInstrumentationBitIdentity and the expansion goldens).
-func (e *Engine) expand(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace) (*Expansion, error) {
-	return e.expandFull(ctx, raw, opts, tr, nil)
-}
-
-// expandFull is expand with an optional EXPLAIN collector. ex == nil is the
-// hot path — no collector state is touched, no extra allocations happen
-// (pinned by BenchmarkExplainOff's benchdiff gate). With ex attached, the
-// same code runs the same arithmetic and only records what it sees; the
+//
+// ex is the optional EXPLAIN collector. ex == nil is the hot path — no
+// collector state is touched, no extra allocations happen (pinned by
+// BenchmarkExplainOff's benchdiff gate). With ex attached, the same code
+// runs the same arithmetic and only records what it sees; the
 // decision-trail legs are filled by the search layer (PruneStats), the
 // clustering driver (cluster.Trail) and the solvers (core.Trail).
-func (e *Engine) expandFull(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace, ex *Explain) (*Expansion, error) {
+func (e *Engine) expand(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace, ex *Explain) (*Expansion, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -98,7 +98,7 @@ func (e *Engine) Metrics() *ExpansionMetrics { return &e.metrics }
 // is cancelled, followers get its error too (they are free to retry).
 func (e *Engine) ExpandTraced(ctx context.Context, raw string, opts ExpandOptions, tr *obs.Trace) (*Expansion, error) {
 	if e.expCache == nil {
-		return e.expand(ctx, raw, opts, tr)
+		return e.expand(ctx, raw, opts, tr, nil)
 	}
 	key := e.expandKey(raw, opts)
 	if exp, ok := e.expCache.Get(key); ok {
@@ -114,7 +114,7 @@ func (e *Engine) ExpandTraced(ctx context.Context, raw string, opts ExpandOption
 			tr.MarkCache(obs.CacheHit)
 			return exp, nil
 		}
-		exp, err := e.expand(ctx, raw, opts, tr)
+		exp, err := e.expand(ctx, raw, opts, tr, nil)
 		if err == nil {
 			e.expCache.Add(key, exp)
 		}
